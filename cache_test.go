@@ -258,14 +258,14 @@ func TestEstimateQueryCaching(t *testing.T) {
 	w, tbl := buildCachedWarehouse(t)
 	ctx := context.Background()
 
-	e1, st, err := w.EstimateQuery(ctx, "sales", []string{"region"}, Sum, "amount", 0, false)
+	e1, st, err := w.EstimateQueryOpts(ctx, "sales", []string{"region"}, Sum, "amount", 0, ApproxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st != CacheMiss {
 		t.Fatalf("first estimate status = %v, want miss", st)
 	}
-	_, st, err = w.EstimateQuery(ctx, "sales", []string{"region"}, Sum, "amount", 0, false)
+	_, st, err = w.EstimateQueryOpts(ctx, "sales", []string{"region"}, Sum, "amount", 0, ApproxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestEstimateQueryCaching(t *testing.T) {
 		t.Fatalf("second estimate status = %v, want hit", st)
 	}
 	// A different grouping/aggregate is a different key.
-	_, st, err = w.EstimateQuery(ctx, "sales", []string{"region"}, Count, "amount", 0, false)
+	_, st, err = w.EstimateQueryOpts(ctx, "sales", []string{"region"}, Count, "amount", 0, ApproxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestEstimateQueryCaching(t *testing.T) {
 	if err := tbl.Insert(Str("east"), Str("pen"), F(3)); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err = w.EstimateQuery(ctx, "sales", []string{"region"}, Sum, "amount", 0, false)
+	_, st, err = w.EstimateQueryOpts(ctx, "sales", []string{"region"}, Sum, "amount", 0, ApproxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

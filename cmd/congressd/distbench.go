@@ -115,7 +115,6 @@ func runDistBench(out io.Writer, wf *warehouseFlags, shards, iters int, outPath 
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
 
 	rep := &distBenchReport{
 		Shards: shards, Rows: rel.NumRows(), Groups: len(truth),
@@ -128,7 +127,7 @@ func runDistBench(out io.Writer, wf *warehouseFlags, shards, iters int, outPath 
 		agg  congress.Aggregate
 	}{{"sum", congress.Sum}, {"count", congress.Count}, {"avg", congress.Avg}}
 	for ai, a := range aggs {
-		distEsts, err := co.EstimateCtx(ctx, rel.Name, groupBy, a.agg, aggCol, conf)
+		distEsts, err := co.Estimate(rel.Name, groupBy, a.agg, aggCol, conf)
 		if err != nil {
 			return fmt.Errorf("distributed %s: %w", a.name, err)
 		}
@@ -152,7 +151,7 @@ func runDistBench(out io.Writer, wf *warehouseFlags, shards, iters int, outPath 
 	}
 
 	if rep.LatencyMS.Distributed, err = timeEstimates(iters, func() error {
-		_, err := co.EstimateCtx(ctx, rel.Name, groupBy, congress.Sum, aggCol, conf)
+		_, err := co.Estimate(rel.Name, groupBy, congress.Sum, aggCol, conf)
 		return err
 	}); err != nil {
 		return err

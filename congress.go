@@ -313,8 +313,8 @@ func (t *Table) insertRow(row Row) error {
 			}
 		}
 	}
-	if err := t.rel.Insert(row); err != nil {
-		return err
+	if err := t.rel.Insert(row); err != nil { // arity mismatch
+		return fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
 	if hasSyn {
 		syn.Insert(row)
@@ -332,6 +332,36 @@ func (t *Table) Columns() []engine.Column {
 
 // Name returns the table name.
 func (t *Table) Name() string { return t.rel.Name }
+
+// TableColumns returns a copy of the named table's schema columns; the
+// error wraps ErrUnknownTable.
+func (w *Warehouse) TableColumns(table string) ([]engine.Column, error) {
+	t, err := w.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	return t.Columns(), nil
+}
+
+// InsertRows appends rows to the named table one Table.Insert at a time
+// (each row is validated, write-ahead logged and fed to the maintainer
+// on its own) and returns how many were applied. It stops at the first
+// failing row or when ctx ends; the rows before that stay inserted.
+func (w *Warehouse) InsertRows(ctx context.Context, table string, rows []Row) (int, error) {
+	t, err := w.Table(table)
+	if err != nil {
+		return 0, err
+	}
+	for i, row := range rows {
+		if err := ctx.Err(); err != nil {
+			return i, err
+		}
+		if err := t.Insert(row...); err != nil {
+			return i, err
+		}
+	}
+	return len(rows), nil
+}
 
 // SynopsisSpec configures BuildSynopsis.
 type SynopsisSpec struct {
@@ -489,11 +519,12 @@ func (w *Warehouse) RefreshSynopsis(table string) error {
 type AllocationRow = aqua.AllocationRow
 
 // AllocationTable reports how a synopsis's space budget was divided
-// among the finest groups, sorted by descending allocation.
+// among the finest groups, sorted by descending allocation. A table
+// without a synopsis wraps ErrNoSynopsis.
 func (w *Warehouse) AllocationTable(table string) ([]AllocationRow, error) {
 	syn, ok := w.aq.Synopsis(table)
 	if !ok {
-		return nil, fmt.Errorf("congress: no synopsis for %q", table)
+		return nil, fmt.Errorf("%w %q", ErrNoSynopsis, table)
 	}
 	return syn.AllocationTable(), nil
 }
@@ -557,39 +588,40 @@ func (w *Warehouse) Explain(sql string, strat RewriteStrategy) (string, error) {
 // synopsis's GroupBy); agg and aggCol pick the operator and the
 // aggregated column; confidence 0 means 90%. Multi-column group keys
 // join the rendered values with EstimateKeySep; split them back with
-// SplitEstimateKey.
+// SplitEstimateKey. It is EstimateQueryOpts with a background context
+// and default options.
 func (w *Warehouse) Estimate(table string, grouping []string, agg estimate.Aggregate, aggCol string, confidence float64) ([]estimate.GroupEstimate, error) {
-	return w.EstimateCtx(context.Background(), table, grouping, agg, aggCol, confidence)
-}
-
-// EstimateCtx is Estimate under a context: the deadline or cancellation
-// is observed inside the per-row estimation loop. Validation errors wrap
-// ErrBadQuery and a missing synopsis wraps ErrNoSynopsis, for errors.Is
-// classification by callers such as the HTTP server.
-func (w *Warehouse) EstimateCtx(ctx context.Context, table string, grouping []string, agg estimate.Aggregate, aggCol string, confidence float64) ([]estimate.GroupEstimate, error) {
-	ests, _, err := w.EstimateQuery(ctx, table, grouping, agg, aggCol, confidence, false)
+	ests, _, err := w.EstimateQueryOpts(context.Background(), table, grouping, agg, aggCol, confidence, ApproxOptions{})
 	return ests, err
 }
 
-// EstimateQuery is EstimateCtx through the result cache: estimate sets
-// are memoized under the synopsis's data epoch exactly like SQL answers,
-// so repeated dashboards hitting the same (table, grouping, aggregate)
-// tuple skip the sample scan until the data changes. noCache skips the
-// cache for this call. The returned slice may be shared with concurrent
-// callers and must be treated as read-only.
-func (w *Warehouse) EstimateQuery(ctx context.Context, table string, grouping []string, agg estimate.Aggregate, aggCol string, confidence float64, noCache bool) ([]estimate.GroupEstimate, CacheStatus, error) {
-	return w.EstimateQueryOpts(ctx, table, grouping, agg, aggCol, confidence, ApproxOptions{NoCache: noCache})
-}
-
-// EstimateQueryOpts is EstimateQuery with the full option set: NoCache
-// skips the result cache and NoHybrid forces the pure-sample estimator
-// even when the synopsis's exact datacube covers the request. Hybrid and
-// pure-sample answers cache under distinct keys, so toggling NoHybrid
-// never serves the other mode's result.
+// EstimateQueryOpts is Estimate under a context and through the result
+// cache: the deadline or cancellation is observed inside the per-row
+// estimation loop, and estimate sets are memoized under the synopsis's
+// data epoch exactly like SQL answers, so repeated dashboards hitting
+// the same (table, grouping, aggregate) tuple skip the sample scan until
+// the data changes. opts.NoCache skips the result cache and
+// opts.NoHybrid forces the pure-sample estimator even when the
+// synopsis's exact datacube covers the request. Hybrid and pure-sample
+// answers cache under distinct keys, so toggling NoHybrid never serves
+// the other mode's result. Validation errors wrap ErrBadQuery and a
+// missing synopsis wraps ErrNoSynopsis, for errors.Is classification by
+// callers such as the HTTP server. The returned slice may be shared with
+// concurrent callers and must be treated as read-only.
 func (w *Warehouse) EstimateQueryOpts(ctx context.Context, table string, grouping []string, agg estimate.Aggregate, aggCol string, confidence float64, opts ApproxOptions) ([]estimate.GroupEstimate, CacheStatus, error) {
+	// The one estimator: the partials scan (or exact cube lookup), then
+	// the confidence interval taken once — the same two steps a
+	// coordinator runs with a merge in between.
+	uncached := func() ([]estimate.GroupEstimate, error) {
+		parts, err := w.EstimatePartialsOpts(ctx, table, grouping, aggCol, PartialsOptions{NoHybrid: opts.NoHybrid})
+		if err != nil {
+			return nil, err
+		}
+		return estimate.Finalize(parts, agg, confidence)
+	}
 	rc := w.aq.ResultCache()
 	if rc == nil || opts.NoCache {
-		ests, err := w.estimateUncached(ctx, table, grouping, agg, aggCol, confidence, opts.NoHybrid)
+		ests, err := uncached()
 		return ests, CacheBypass, err
 	}
 	syn, ok := w.aq.Synopsis(table)
@@ -602,7 +634,7 @@ func (w *Warehouse) EstimateQueryOpts(ctx context.Context, table string, groupin
 	key := fmt.Sprintf("e\x00%d\x00%d\x00%s\x00%d\x00%s\x00%g\x00%t",
 		syn.ID(), syn.Epoch(), joinParts(grouping), int(agg), strings.ToLower(aggCol), confidence, opts.NoHybrid)
 	v, hit, err := rc.Do(ctx, key, func() (any, int64, error) {
-		ests, err := w.estimateUncached(ctx, table, grouping, agg, aggCol, confidence, opts.NoHybrid)
+		ests, err := uncached()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -622,42 +654,12 @@ func (w *Warehouse) EstimateQueryOpts(ctx context.Context, table string, groupin
 	return v.([]estimate.GroupEstimate), status, nil
 }
 
-func (w *Warehouse) estimateUncached(ctx context.Context, table string, grouping []string, agg estimate.Aggregate, aggCol string, confidence float64, noHybrid bool) ([]estimate.GroupEstimate, error) {
-	start := time.Now()
-	syn, q, cols, ci, err := w.estimatePlan(table, grouping, aggCol)
-	if err != nil {
-		return nil, err
-	}
-	// Hybrid path: when the synopsis's exact datacube covers this
-	// (grouping, aggregate column) pair and is synchronized with the
-	// base data, answer from the exact prefixes — every group comes back
-	// with a zero-width interval and no sample scan at all.
-	if !noHybrid {
-		if parts, ok := syn.ExactPartials(cols, ci); ok {
-			w.aq.Telemetry().HybridExact()
-			ests, ferr := estimate.Finalize(parts, agg, confidence)
-			if ferr == nil {
-				w.aq.Telemetry().ObserveEstimate(time.Since(start))
-			}
-			return ests, ferr
-		}
-		w.aq.Telemetry().HybridFallback()
-	}
-	q.Agg = agg
-	q.Confidence = confidence
-	ests, err := estimate.RunCtx(ctx, syn.Sample(), q)
-	if err == nil {
-		w.aq.Telemetry().ObserveEstimate(time.Since(start))
-	}
-	return ests, err
-}
-
 // estimatePlan resolves a direct-estimation request against the
 // warehouse: the table's synopsis plus an estimate.Query whose closures
 // read the grouping ordinals and aggregate column resolved once, up
 // front, and those resolved ordinals themselves (the hybrid path hands
-// them to Synopsis.ExactPartials). Agg and Confidence are left zero for
-// the caller to fill (a partials scan ignores them entirely).
+// them to Synopsis.ExactPartials). Agg and Confidence stay zero: a
+// partials scan ignores them.
 func (w *Warehouse) estimatePlan(table string, grouping []string, aggCol string) (*aqua.Synopsis, estimate.Query, []int, int, error) {
 	syn, ok := w.aq.Synopsis(table)
 	if !ok {
@@ -697,20 +699,8 @@ func (w *Warehouse) estimatePlan(table string, grouping []string, aggCol string)
 
 // GroupPartial re-exports the mergeable per-group estimation state a
 // scatter-gather coordinator moves between shards; see
-// EstimatePartialsCtx and estimate.MergePartials.
+// EstimatePartialsOpts and estimate.MergePartials.
 type GroupPartial = estimate.GroupPartial
-
-// EstimatePartialsCtx runs the scan half of EstimateCtx and returns the
-// per-group mergeable partials instead of finished estimates. A
-// coordinator (ShardedWarehouse) calls this on every shard, merges with
-// estimate.MergePartials, and takes the confidence interval exactly once
-// with estimate.Finalize — which is why sharded estimates match
-// single-warehouse ones over the same strata. Partials are aggregate-
-// and confidence-independent. Error classification matches EstimateCtx
-// (ErrBadQuery, ErrNoSynopsis).
-func (w *Warehouse) EstimatePartialsCtx(ctx context.Context, table string, grouping []string, aggCol string) ([]GroupPartial, error) {
-	return w.EstimatePartialsOpts(ctx, table, grouping, aggCol, PartialsOptions{})
-}
 
 // PartialsOptions tunes one EstimatePartialsOpts call.
 type PartialsOptions struct {
@@ -720,12 +710,21 @@ type PartialsOptions struct {
 	NoHybrid bool
 }
 
-// EstimatePartialsOpts is EstimatePartialsCtx with options. With hybrid
-// answering enabled (the default), a shard whose exact datacube covers
-// the request returns exact partials — ExactSum/ExactCount populated,
-// zero sampled mass — and skips its sample scan; the coordinator's
-// MergePartials then composes exact shards with sampled shards so only
-// the residual (uncovered) mass contributes interval width.
+// EstimatePartialsOpts runs the scan half of an estimate and returns the
+// per-group mergeable partials instead of finished estimates. A
+// coordinator (ShardedWarehouse, Coordinator) calls this on every shard,
+// merges with estimate.MergePartials, and takes the confidence interval
+// exactly once with estimate.Finalize — which is why sharded estimates
+// match single-warehouse ones over the same strata. Partials are
+// aggregate- and confidence-independent. Error classification matches
+// EstimateQueryOpts (ErrBadQuery, ErrNoSynopsis).
+//
+// With hybrid answering enabled (the default), a shard whose exact
+// datacube covers the request returns exact partials — ExactSum/
+// ExactCount populated, zero sampled mass — and skips its sample scan
+// (every group then finalizes to a zero-width interval); MergePartials
+// composes exact shards with sampled shards so only the residual
+// (uncovered) mass contributes interval width.
 func (w *Warehouse) EstimatePartialsOpts(ctx context.Context, table string, grouping []string, aggCol string, opts PartialsOptions) ([]GroupPartial, error) {
 	start := time.Now()
 	syn, q, cols, ci, err := w.estimatePlan(table, grouping, aggCol)

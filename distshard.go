@@ -5,32 +5,23 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/approxdb/congress/internal/core"
 	"github.com/approxdb/congress/internal/engine"
-	"github.com/approxdb/congress/internal/estimate"
-	"github.com/approxdb/congress/internal/metrics"
 	"github.com/approxdb/congress/internal/shard"
 	"github.com/approxdb/congress/pkg/client"
 )
 
-// This file is the distributed half of sharding: a Coordinator that
-// fronts K congressd shard *processes* the way ShardedWarehouse fronts
-// K in-process warehouses. Each shard process owns a durable partition
-// of every table (its own -data-dir, WAL and snapshots) plus the
-// congressional synopsis over that partition; the coordinator routes
-// inserts by the finest grouping key through the same shard.Router and
-// answers estimates by fanning the partials scan out over HTTP
-// (/v1/estimate/partials), merging with estimate.MergePartials, and
-// taking the confidence interval exactly once with estimate.Finalize —
-// per-shard half-widths are never summed. With finest-key routing the
-// distributed answer is numerically identical to a single warehouse
-// over the same strata, which the differential tests pin to 1e-9.
+// This file is the distributed half of sharding: a Coordinator is the
+// coordinator core (shardcore.go) over K congressd shard *processes*,
+// the way ShardedWarehouse is that core over K in-process warehouses.
+// Each shard process owns a durable partition of every table (its own
+// -data-dir, WAL and snapshots) plus the congressional synopsis over
+// that partition. What lives here is what only a remote deployment
+// needs: the HTTP leg (RemoteShard) with its timeouts, retries, error
+// mapping and wire conversion, health probing, and schema discovery.
 
 // ErrShardUnavailable marks a scatter-gather leg that failed terminally
 // at the transport or availability layer after exhausting its retries:
@@ -39,47 +30,6 @@ import (
 // partial answer would silently drop every group homed on the missing
 // shard — so the whole query fails with this typed error.
 var ErrShardUnavailable = errors.New("congress: shard unavailable")
-
-// ShardBackend is one scatter-gather leg: anything that can run the
-// partials scan for its slice of a table. In-process shard warehouses
-// and RemoteShard (a congressd process reached over HTTP) both satisfy
-// it, which is what lets ShardedWarehouse and Coordinator share the
-// fan-out/merge machinery.
-type ShardBackend interface {
-	EstimatePartials(ctx context.Context, table string, grouping []string, aggCol string, opts PartialsOptions) ([]GroupPartial, error)
-}
-
-// localShard adapts an in-process *Warehouse to ShardBackend.
-type localShard struct{ w *Warehouse }
-
-func (s localShard) EstimatePartials(ctx context.Context, table string, grouping []string, aggCol string, opts PartialsOptions) ([]GroupPartial, error) {
-	return s.w.EstimatePartialsOpts(ctx, table, grouping, aggCol, opts)
-}
-
-// scatterPartials fans the partials scan across every backend with
-// cancel-on-first-terminal-failure, recording per-leg latency and
-// errors in tel. Legs that report ErrNoSynopsis contribute nothing (the
-// shard held no rows of the table at build time); emptyLegs counts them
-// so callers can distinguish "some shards skipped" from "no shard has
-// this synopsis at all".
-func scatterPartials(ctx context.Context, tel *shard.Telemetry, backends []ShardBackend, table string, grouping []string, aggCol string, opts PartialsOptions) (parts [][]estimate.GroupPartial, emptyLegs int, err error) {
-	var empty atomic.Int32
-	parts, err = shard.Fanout(ctx, len(backends), func(ctx context.Context, i int) ([]estimate.GroupPartial, error) {
-		start := time.Now()
-		p, err := backends[i].EstimatePartials(ctx, table, grouping, aggCol, opts)
-		if err != nil {
-			if errors.Is(err, ErrNoSynopsis) {
-				empty.Add(1)
-				return nil, nil
-			}
-			tel.FanoutError(i)
-			return nil, err
-		}
-		tel.ObserveFanout(i, time.Since(start))
-		return p, nil
-	})
-	return parts, int(empty.Load()), err
-}
 
 // CoordinatorOptions tunes the coordinator's per-leg failure handling.
 // The zero value of every field has a sensible default.
@@ -115,8 +65,8 @@ func (o *CoordinatorOptions) withDefaults() {
 
 // RemoteShard is one shard process seen from the coordinator: a
 // pkg/client handle plus the retry policy for its scatter-gather legs.
-// It satisfies ShardBackend, so the merge path cannot tell a remote
-// shard from an in-process one.
+// It satisfies ShardBackend, so the coordinator core cannot tell a
+// remote shard from an in-process one.
 type RemoteShard struct {
 	ord        int
 	endpoint   string
@@ -156,6 +106,16 @@ func mapShardError(err error) (mapped error, terminal bool) {
 		return err, false
 	}
 	return err, true // remaining 4xx: retrying the same request cannot help
+}
+
+// wrapErr maps a client error from a call that is not retried: typed
+// sentinels pass through, everything transport/availability-shaped
+// wraps ErrShardUnavailable with the shard's identity.
+func (rs *RemoteShard) wrapErr(err error) error {
+	if mapped, terminal := mapShardError(err); terminal {
+		return mapped
+	}
+	return fmt.Errorf("%w: shard %d (%s): %v", ErrShardUnavailable, rs.ord, rs.endpoint, err)
 }
 
 // EstimatePartials runs the partials scan on the remote shard with
@@ -213,33 +173,136 @@ func (rs *RemoteShard) EstimatePartials(ctx context.Context, table string, group
 		ErrShardUnavailable, rs.ord, rs.endpoint, rs.retries+1, lastErr)
 }
 
-// coordTable is the coordinator's handle to one distributed table: the
-// schema and finest-grouping router key discovered from the shards.
-type coordTable struct {
-	co     *Coordinator
-	name   string
-	cols   []engine.Column
-	g      *core.Grouping
-	maxCol int
+// insert posts one /v1/insert to the shard process under the leg
+// timeout. Inserts are not retried on transport failure — the
+// coordinator cannot know whether the shard applied the rows before the
+// connection died, and a blind retry could double-insert; the caller
+// sees ErrShardUnavailable and decides. (429 shedding is retried inside
+// the client: shed requests are rejected before execution, so that
+// retry is safe.)
+func (rs *RemoteShard) insert(ctx context.Context, req client.InsertRequest) (int, error) {
+	cctx, cancel := context.WithTimeout(ctx, rs.legTimeout)
+	defer cancel()
+	resp, err := rs.c.Insert(cctx, req)
+	if err != nil {
+		return 0, rs.wrapErr(err)
+	}
+	return resp.Inserted, nil
+}
+
+// InsertRows delivers the rows with one insert request.
+func (rs *RemoteShard) InsertRows(ctx context.Context, table string, rows []Row) (int, error) {
+	wire := make([][]any, len(rows))
+	for i, row := range rows {
+		wire[i] = wireRow(row)
+	}
+	return rs.insert(ctx, client.InsertRequest{Table: table, Rows: wire})
+}
+
+// RefreshSynopsis re-materializes the shard's sample: an empty insert
+// with refresh=true. The insert endpoint resolves the table before the
+// synopsis, so a table the shard does not hold comes back unknown_table;
+// for a refresh that is the same condition as in-process: no synopsis.
+func (rs *RemoteShard) RefreshSynopsis(ctx context.Context, table string) error {
+	_, err := rs.insert(ctx, client.InsertRequest{Table: table, Refresh: true})
+	if errors.Is(err, ErrUnknownTable) {
+		return fmt.Errorf("%w %q on shard %d", ErrNoSynopsis, table, rs.ord)
+	}
+	return err
+}
+
+// describe fetches the shard's /v1/synopses listing under the leg
+// timeout.
+func (rs *RemoteShard) describe(ctx context.Context, allocation bool) ([]client.SynopsisInfo, error) {
+	cctx, cancel := context.WithTimeout(ctx, rs.legTimeout)
+	defer cancel()
+	infos, err := rs.c.Synopses(cctx, allocation)
+	if err != nil {
+		return nil, rs.wrapErr(err)
+	}
+	return infos, nil
+}
+
+// Synopses lists the shard process's synopses.
+func (rs *RemoteShard) Synopses(ctx context.Context) ([]SynopsisInfo, error) {
+	infos, err := rs.describe(ctx, false)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]SynopsisInfo, len(infos))
+	for i, ci := range infos {
+		out[i] = SynopsisInfo{
+			Table:          ci.Table,
+			GroupBy:        ci.GroupBy,
+			Strategy:       ci.Strategy,
+			Space:          ci.Space,
+			SampleSize:     ci.SampleSize,
+			Strata:         ci.Strata,
+			PendingInserts: ci.PendingInserts,
+		}
+	}
+	return out, nil
+}
+
+// AllocationTable reads the table's allocation off the shard's
+// /v1/synopses?allocation listing.
+func (rs *RemoteShard) AllocationTable(ctx context.Context, table string) ([]AllocationRow, error) {
+	infos, err := rs.describe(ctx, true)
+	if err != nil {
+		return nil, err
+	}
+	for _, ci := range infos {
+		if !strings.EqualFold(ci.Table, table) {
+			continue
+		}
+		rows := make([]AllocationRow, len(ci.Allocation))
+		for i, ar := range ci.Allocation {
+			rows[i] = AllocationRow{
+				Group:      ar.Group,
+				Population: ar.Population,
+				PreScale:   ar.PreScale,
+				Target:     ar.Target,
+				Actual:     ar.Actual,
+			}
+		}
+		return rows, nil
+	}
+	return nil, fmt.Errorf("%w %q on shard %d", ErrNoSynopsis, table, rs.ord)
+}
+
+// wireRow converts engine values to their JSON-native wire form (the
+// inverse of the server's per-column decode): numbers stay numbers,
+// strings and dates render as display text.
+func wireRow(row Row) []any {
+	out := make([]any, len(row))
+	for i, v := range row {
+		switch v.K {
+		case engine.KindNull:
+			out[i] = nil
+		case engine.KindBool:
+			out[i] = v.I != 0
+		case engine.KindInt:
+			out[i] = v.I
+		case engine.KindFloat:
+			out[i] = v.F
+		default:
+			out[i] = v.String()
+		}
+	}
+	return out
 }
 
 // Coordinator fronts a static membership of congressd shard processes:
 // inserts route by the finest grouping key, estimates scatter-gather
-// partials over HTTP and merge exactly as the in-process path does. It
-// serves the same backend surface as Warehouse/ShardedWarehouse, so
-// congressd -coordinator mounts it behind the ordinary /v1 API. Safe
-// for concurrent use after Discover.
+// partials over HTTP and merge exactly as the in-process path does —
+// both are the same shardCore. It serves the same backend surface as
+// Warehouse/ShardedWarehouse, so congressd -coordinator mounts it behind
+// the ordinary /v1 API. Safe for concurrent use after Discover.
 type Coordinator struct {
-	router   *shard.Router
-	tel      *shard.Telemetry
-	mtel     *metrics.Telemetry // coordinator-level engine counters (hybrid composition)
-	mem      *shard.Membership
-	shards   []*RemoteShard
-	backends []ShardBackend // the shards, as scatter legs
-	opts     CoordinatorOptions
-
-	mu     sync.RWMutex
-	tables map[string]*coordTable // lower-cased name → handle
+	*shardCore
+	mem    *shard.Membership
+	shards []*RemoteShard
+	opts   CoordinatorOptions
 }
 
 // NewCoordinator builds a coordinator over the shard endpoints (index
@@ -252,18 +315,11 @@ func NewCoordinator(endpoints []string, opts CoordinatorOptions) (*Coordinator, 
 		return nil, fmt.Errorf("congress: %w", err)
 	}
 	opts.withDefaults()
-	router, err := shard.NewRouter(len(mem.Endpoints))
+	c, err := newShardCore(len(mem.Endpoints), "congress_distshard")
 	if err != nil {
-		return nil, fmt.Errorf("congress: %w", err)
+		return nil, err
 	}
-	co := &Coordinator{
-		router: router,
-		tel:    shard.NewTelemetry(len(mem.Endpoints)),
-		mtel:   metrics.NewTelemetry(),
-		mem:    mem,
-		opts:   opts,
-		tables: make(map[string]*coordTable),
-	}
+	co := &Coordinator{shardCore: c, mem: mem, opts: opts}
 	for i, ep := range mem.Endpoints {
 		copts := []client.Option{client.WithRetry(opts.Retries, opts.MaxBackoff)}
 		if opts.HTTPClient != nil {
@@ -273,29 +329,22 @@ func NewCoordinator(endpoints []string, opts CoordinatorOptions) (*Coordinator, 
 			ord:        i,
 			endpoint:   ep,
 			c:          client.New(ep, copts...),
-			tel:        co.tel,
+			tel:        c.tel,
 			legTimeout: opts.LegTimeout,
 			retries:    opts.Retries,
 			maxBackoff: opts.MaxBackoff,
 		}
 		co.shards = append(co.shards, rs)
-		co.backends = append(co.backends, rs)
+		c.legs[i] = rs
 	}
 	return co, nil
 }
-
-// NumShards returns the configured shard count.
-func (co *Coordinator) NumShards() int { return len(co.shards) }
 
 // Endpoints returns the shard base URLs in ordinal order.
 func (co *Coordinator) Endpoints() []string { return co.mem.Endpoints }
 
 // Shard returns the i-th remote shard (diagnostics, tests).
 func (co *Coordinator) Shard(i int) *RemoteShard { return co.shards[i] }
-
-// ShardTelemetry returns the coordinator's per-shard counters, rendered
-// on /metrics as congress_distshard_*.
-func (co *Coordinator) ShardTelemetry() *shard.Telemetry { return co.tel }
 
 // WaitHealthy blocks until every shard process answers its health probe
 // or ctx expires; the timeout error names the shards still down.
@@ -318,12 +367,9 @@ func (co *Coordinator) WaitHealthy(ctx context.Context, interval time.Duration) 
 // after WaitHealthy; re-call to pick up tables created later.
 func (co *Coordinator) Discover(ctx context.Context) error {
 	infos, err := shard.Fanout(ctx, len(co.shards), func(ctx context.Context, i int) ([]client.SynopsisInfo, error) {
-		actx, cancel := context.WithTimeout(ctx, co.opts.LegTimeout)
-		defer cancel()
-		out, err := co.shards[i].c.Synopses(actx, false)
+		out, err := co.shards[i].describe(ctx, false)
 		if err != nil {
-			return nil, fmt.Errorf("%w: shard %d (%s): discovery: %v",
-				ErrShardUnavailable, i, co.shards[i].endpoint, err)
+			return nil, fmt.Errorf("discovery: %w", err)
 		}
 		return out, nil
 	})
@@ -349,7 +395,7 @@ func (co *Coordinator) Discover(ctx context.Context) error {
 			}
 		}
 	}
-	tables := make(map[string]*coordTable, len(first))
+	tables := make(map[string]*ShardedTable, len(first))
 	for key, at := range first {
 		si := at.info
 		if len(si.Columns) == 0 {
@@ -364,32 +410,18 @@ func (co *Coordinator) Discover(ctx context.Context) error {
 			}
 			cols[j] = engine.Column{Name: cs.Name, Kind: kind}
 		}
-		schema, err := engine.NewSchema(cols...)
-		if err != nil {
-			return fmt.Errorf("congress: table %q: %w", si.Table, err)
+		if tables[key], err = co.newTable(si.Table, cols, si.GroupBy); err != nil {
+			return err
 		}
-		g, err := core.NewGrouping(schema, si.GroupBy)
-		if err != nil {
-			return fmt.Errorf("congress: table %q routing grouping: %w", si.Table, err)
-		}
-		ct := &coordTable{co: co, name: si.Table, cols: cols, g: g}
-		for _, c := range g.Columns() {
-			if c > ct.maxCol {
-				ct.maxCol = c
-			}
-		}
-		tables[key] = ct
 	}
-	co.mu.Lock()
-	co.tables = tables
-	co.mu.Unlock()
+	co.setTables(tables)
 	return nil
 }
 
 // sameShardSchema verifies two shards' views of one table agree on the
 // synopsis grouping and column schema.
 func sameShardSchema(a, b client.SynopsisInfo) error {
-	if !equalStrings(a.GroupBy, b.GroupBy) {
+	if !slices.Equal(a.GroupBy, b.GroupBy) {
 		return fmt.Errorf("group-by %v vs %v", a.GroupBy, b.GroupBy)
 	}
 	if len(a.Columns) != len(b.Columns) {
@@ -401,352 +433,4 @@ func sameShardSchema(a, b client.SynopsisInfo) error {
 		}
 	}
 	return nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Table returns the handle to a discovered table; the error wraps
-// ErrUnknownTable for errors.Is classification.
-func (co *Coordinator) Table(name string) (*coordTable, error) {
-	co.mu.RLock()
-	ct := co.tables[strings.ToLower(name)]
-	co.mu.RUnlock()
-	if ct == nil {
-		return nil, fmt.Errorf("congress: %w %q", ErrUnknownTable, name)
-	}
-	return ct, nil
-}
-
-// Columns returns the table's schema columns in order.
-func (t *coordTable) Columns() []engine.Column {
-	out := make([]engine.Column, len(t.cols))
-	copy(out, t.cols)
-	return out
-}
-
-// Name returns the table name as the shards report it.
-func (t *coordTable) Name() string { return t.name }
-
-// RouteOf reports which shard a row's routing key maps to.
-func (t *coordTable) RouteOf(row Row) int { return t.co.router.Route(t.g.Key(row)) }
-
-// Insert routes one row to its home shard process. Inserts are not
-// retried on transport failure — the coordinator cannot know whether
-// the shard applied the row before the connection died, and a blind
-// retry could double-insert; the caller sees ErrShardUnavailable and
-// decides. (429 shedding is retried inside the client: shed requests
-// are rejected before execution, so that retry is safe.)
-func (t *coordTable) Insert(vals ...Value) error {
-	return t.insertCtx(context.Background(), vals)
-}
-
-func (t *coordTable) insertCtx(ctx context.Context, vals []Value) error {
-	row := Row(vals)
-	if len(row) != len(t.cols) {
-		return fmt.Errorf("%w: row has %d values, table %q has %d columns",
-			ErrBadQuery, len(row), t.name, len(t.cols))
-	}
-	i := t.co.router.Route(t.g.Key(row))
-	rs := t.co.shards[i]
-	cctx, cancel := context.WithTimeout(ctx, rs.legTimeout)
-	defer cancel()
-	_, err := rs.c.Insert(cctx, client.InsertRequest{Table: t.name, Rows: [][]any{wireRow(row)}})
-	if err != nil {
-		return t.co.wrapShardErr(i, err)
-	}
-	t.co.tel.AddInserts(i, 1)
-	return nil
-}
-
-// InsertBatch routes a batch of rows, grouping by home shard and
-// issuing one insert per shard in parallel. Returns the number of rows
-// acknowledged; on a failed leg the rows of *other* shards may still
-// have been applied (per-shard inserts are independent), which the
-// returned count reflects.
-func (t *coordTable) InsertBatch(ctx context.Context, rows []Row) (int, error) {
-	for _, row := range rows {
-		if len(row) != len(t.cols) {
-			return 0, fmt.Errorf("%w: row has %d values, table %q has %d columns",
-				ErrBadQuery, len(row), t.name, len(t.cols))
-		}
-	}
-	parts := make([][][]any, len(t.co.shards))
-	counts := make([]int, len(t.co.shards))
-	for _, row := range rows {
-		i := t.co.router.Route(t.g.Key(row))
-		parts[i] = append(parts[i], wireRow(row))
-		counts[i]++
-	}
-	var acked atomic.Int64
-	_, err := shard.Fanout(ctx, len(t.co.shards), func(ctx context.Context, i int) (struct{}, error) {
-		if len(parts[i]) == 0 {
-			return struct{}{}, nil
-		}
-		rs := t.co.shards[i]
-		cctx, cancel := context.WithTimeout(ctx, rs.legTimeout)
-		defer cancel()
-		resp, err := rs.c.Insert(cctx, client.InsertRequest{Table: t.name, Rows: parts[i]})
-		if err != nil {
-			t.co.tel.FanoutError(i)
-			return struct{}{}, t.co.wrapShardErr(i, err)
-		}
-		acked.Add(int64(resp.Inserted))
-		t.co.tel.AddInserts(i, int64(counts[i]))
-		return struct{}{}, nil
-	})
-	return int(acked.Load()), err
-}
-
-// wrapShardErr maps a shard client error for callers: typed sentinels
-// pass through, everything transport/availability-shaped wraps
-// ErrShardUnavailable with the shard's identity.
-func (co *Coordinator) wrapShardErr(i int, err error) error {
-	if mapped, terminal := mapShardError(err); terminal {
-		return mapped
-	}
-	return fmt.Errorf("%w: shard %d (%s): %v", ErrShardUnavailable, i, co.shards[i].endpoint, err)
-}
-
-// EstimatePartialsCtx scatter-gathers the partials scan across the
-// shard processes and merges — no confidence interval yet, so a
-// coordinator can itself serve /v1/estimate/partials to a higher-tier
-// coordinator (fan-out trees).
-func (co *Coordinator) EstimatePartialsCtx(ctx context.Context, table string, grouping []string, aggCol string) ([]GroupPartial, error) {
-	return co.EstimatePartialsOpts(ctx, table, grouping, aggCol, PartialsOptions{})
-}
-
-// EstimatePartialsOpts is EstimatePartialsCtx with options; NoHybrid is
-// forwarded to every shard process, so the whole fan-out answers either
-// hybrid (each covered shard exactly) or pure-sample.
-func (co *Coordinator) EstimatePartialsOpts(ctx context.Context, table string, grouping []string, aggCol string, opts PartialsOptions) ([]GroupPartial, error) {
-	parts, emptyLegs, err := scatterPartials(ctx, co.tel, co.backends, table, grouping, aggCol, opts)
-	if err != nil {
-		return nil, err
-	}
-	if emptyLegs == len(co.backends) {
-		return nil, fmt.Errorf("%w %q", ErrNoSynopsis, table)
-	}
-	merged := estimate.MergePartials(parts...)
-	if !opts.NoHybrid && hasResidualMix(merged) {
-		co.mtel.HybridResidual()
-	}
-	return merged, nil
-}
-
-// EstimateCtx answers a group-by estimate across the shard processes:
-// scatter partials, merge, then Finalize exactly once.
-func (co *Coordinator) EstimateCtx(ctx context.Context, table string, grouping []string, agg Aggregate, aggCol string, confidence float64) ([]GroupEstimate, error) {
-	merged, err := co.EstimatePartialsCtx(ctx, table, grouping, aggCol)
-	if err != nil {
-		return nil, err
-	}
-	return estimate.Finalize(merged, agg, confidence)
-}
-
-// EstimateQuery matches the Warehouse signature so congressd can serve
-// any backend. Distributed estimates always bypass the result cache,
-// exactly like in-process sharded ones: the merged answer spans every
-// shard's data epoch at once.
-func (co *Coordinator) EstimateQuery(ctx context.Context, table string, grouping []string, agg Aggregate, aggCol string, confidence float64, noCache bool) ([]GroupEstimate, CacheStatus, error) {
-	return co.EstimateQueryOpts(ctx, table, grouping, agg, aggCol, confidence, ApproxOptions{NoCache: noCache})
-}
-
-// EstimateQueryOpts is EstimateQuery with the full option set; only
-// NoHybrid is meaningful here (distributed estimates always bypass the
-// result cache).
-func (co *Coordinator) EstimateQueryOpts(ctx context.Context, table string, grouping []string, agg Aggregate, aggCol string, confidence float64, opts ApproxOptions) ([]GroupEstimate, CacheStatus, error) {
-	merged, err := co.EstimatePartialsOpts(ctx, table, grouping, aggCol, PartialsOptions{NoHybrid: opts.NoHybrid})
-	if err != nil {
-		return nil, CacheBypass, err
-	}
-	ests, err := estimate.Finalize(merged, agg, confidence)
-	return ests, CacheBypass, err
-}
-
-// Metrics reports the coordinator's own engine counters (today: the
-// hybrid composition counter). Shard-process engine telemetry lives on
-// the shards' own /metrics endpoints.
-func (co *Coordinator) Metrics() MetricsSnapshot { return co.mtel.Snapshot() }
-
-// hasResidualMix reports whether merged partials compose exact mass
-// (covered shards answered from their datacubes) with sampled mass
-// (uncovered shards answered from their samples) — the hybrid residual
-// case a coordinator counts once per query.
-func hasResidualMix(parts []estimate.GroupPartial) bool {
-	exact, sampled := false, false
-	for _, p := range parts {
-		if p.ExactCount > 0 || p.ExactSum != 0 {
-			exact = true
-		}
-		if p.N > 0 {
-			sampled = true
-		}
-		if exact && sampled {
-			return true
-		}
-	}
-	return false
-}
-
-// RefreshSynopsis re-materializes the table's sample on every shard
-// process holding a partition, in parallel (an empty insert with
-// refresh=true on each shard). Shards without the synopsis are skipped;
-// if no shard has it, the error wraps ErrNoSynopsis.
-func (co *Coordinator) RefreshSynopsis(table string) error {
-	var refreshed, missing atomic.Int32
-	_, err := shard.Fanout(context.Background(), len(co.shards), func(ctx context.Context, i int) (struct{}, error) {
-		rs := co.shards[i]
-		cctx, cancel := context.WithTimeout(ctx, rs.legTimeout)
-		defer cancel()
-		_, err := rs.c.Insert(cctx, client.InsertRequest{Table: table, Refresh: true})
-		if err != nil {
-			mapped, terminal := mapShardError(err)
-			if terminal && errors.Is(mapped, ErrNoSynopsis) {
-				missing.Add(1)
-				return struct{}{}, nil
-			}
-			return struct{}{}, co.wrapShardErr(i, err)
-		}
-		refreshed.Add(1)
-		return struct{}{}, nil
-	})
-	if err != nil {
-		return err
-	}
-	if refreshed.Load() == 0 && missing.Load() == int32(len(co.shards)) {
-		return fmt.Errorf("%w %q", ErrNoSynopsis, table)
-	}
-	return nil
-}
-
-// Synopses lists every synopsis merged across the shard processes
-// (sizes, strata and pending counts sum; Shards counts partitions),
-// sorted by table name. Shards that fail the listing are omitted — the
-// listing is diagnostic, not transactional.
-func (co *Coordinator) Synopses() []SynopsisInfo {
-	ctx, cancel := context.WithTimeout(context.Background(), co.opts.LegTimeout)
-	defer cancel()
-	lists := make([][]client.SynopsisInfo, len(co.shards))
-	var wg sync.WaitGroup
-	for i := range co.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if out, err := co.shards[i].c.Synopses(ctx, false); err == nil {
-				lists[i] = out
-			}
-		}(i)
-	}
-	wg.Wait()
-	byTable := make(map[string]*SynopsisInfo)
-	for _, list := range lists {
-		for _, ci := range list {
-			m := byTable[ci.Table]
-			if m == nil {
-				byTable[ci.Table] = &SynopsisInfo{
-					Table:          ci.Table,
-					GroupBy:        ci.GroupBy,
-					Strategy:       ci.Strategy,
-					Space:          ci.Space,
-					SampleSize:     ci.SampleSize,
-					Strata:         ci.Strata,
-					PendingInserts: ci.PendingInserts,
-					Shards:         1,
-				}
-				continue
-			}
-			m.Space += ci.Space
-			m.SampleSize += ci.SampleSize
-			m.Strata += ci.Strata
-			m.PendingInserts += ci.PendingInserts
-			m.Shards++
-		}
-	}
-	out := make([]SynopsisInfo, 0, len(byTable))
-	for _, info := range byTable {
-		out = append(out, *info)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Table < out[b].Table })
-	return out
-}
-
-// AllocationTable concatenates the per-shard allocation tables exactly
-// like ShardedWarehouse: re-sorted by descending target, ties broken by
-// rendered group.
-func (co *Coordinator) AllocationTable(table string) ([]AllocationRow, error) {
-	want := strings.ToLower(table)
-	lists, err := shard.Fanout(context.Background(), len(co.shards), func(ctx context.Context, i int) ([]AllocationRow, error) {
-		rs := co.shards[i]
-		cctx, cancel := context.WithTimeout(ctx, rs.legTimeout)
-		defer cancel()
-		infos, err := rs.c.Synopses(cctx, true)
-		if err != nil {
-			return nil, co.wrapShardErr(i, err)
-		}
-		var rows []AllocationRow
-		for _, ci := range infos {
-			if strings.ToLower(ci.Table) != want {
-				continue
-			}
-			for _, ar := range ci.Allocation {
-				rows = append(rows, AllocationRow{
-					Group:      ar.Group,
-					Population: ar.Population,
-					PreScale:   ar.PreScale,
-					Target:     ar.Target,
-					Actual:     ar.Actual,
-				})
-			}
-		}
-		return rows, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []AllocationRow
-	for _, rows := range lists {
-		out = append(out, rows...)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("congress: no synopsis for %q", table)
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Target != out[b].Target {
-			return out[a].Target > out[b].Target
-		}
-		return strings.Join(out[a].Group, "\x1f") < strings.Join(out[b].Group, "\x1f")
-	})
-	return out, nil
-}
-
-// wireRow converts engine values to their JSON-native wire form (the
-// inverse of the server's per-column decode): numbers stay numbers,
-// strings and dates render as display text.
-func wireRow(row Row) []any {
-	out := make([]any, len(row))
-	for i, v := range row {
-		switch v.K {
-		case engine.KindNull:
-			out[i] = nil
-		case engine.KindBool:
-			out[i] = v.I != 0
-		case engine.KindInt:
-			out[i] = v.I
-		case engine.KindFloat:
-			out[i] = v.F
-		default:
-			out[i] = v.String()
-		}
-	}
-	return out
 }

@@ -60,12 +60,22 @@ func newDistCluster(t *testing.T, shards, rows int) *distCluster {
 		t.Fatal(err)
 	}
 	cl := &distCluster{single: single, sw: sw}
-	urls := make([]string, shards)
-	for i := 0; i < shards; i++ {
+	cl.co, cl.shardSrvs = coordinatorOver(t, sw)
+	_, cl.c = testServer(t, Options{Coordinator: cl.co})
+	return cl
+}
+
+// coordinatorOver serves every shard of sw from its own HTTP server and
+// returns a healthy, discovered Coordinator over those endpoints.
+func coordinatorOver(t *testing.T, sw *congress.ShardedWarehouse) (*congress.Coordinator, []*httptest.Server) {
+	t.Helper()
+	var srvs []*httptest.Server
+	urls := make([]string, sw.NumShards())
+	for i := range urls {
 		srv := New(Options{Warehouse: sw.Shard(i), Logger: quietLogger()})
 		hs := httptest.NewServer(srv.Handler())
 		t.Cleanup(hs.Close)
-		cl.shardSrvs = append(cl.shardSrvs, hs)
+		srvs = append(srvs, hs)
 		urls[i] = hs.URL
 	}
 	co, err := congress.NewCoordinator(urls, congress.CoordinatorOptions{
@@ -84,9 +94,7 @@ func newDistCluster(t *testing.T, shards, rows int) *distCluster {
 	if err := co.Discover(ctx); err != nil {
 		t.Fatal(err)
 	}
-	cl.co = co
-	_, cl.c = testServer(t, Options{Coordinator: co})
-	return cl
+	return co, srvs
 }
 
 func relDiffT(a, b float64) float64 {
@@ -257,9 +265,9 @@ func TestDistShardKilledShard(t *testing.T) {
 	}
 
 	// Direct (non-HTTP) classification: errors.Is must see the sentinel.
-	_, cerr := cl.co.EstimateCtx(ctx, "lineitem", []string{"l_returnflag"}, congress.Sum, "l_quantity", 0.95)
+	_, _, cerr := cl.co.EstimateQueryOpts(ctx, "lineitem", []string{"l_returnflag"}, congress.Sum, "l_quantity", 0.95, congress.ApproxOptions{})
 	if !errors.Is(cerr, congress.ErrShardUnavailable) {
-		t.Errorf("EstimateCtx error %v, want ErrShardUnavailable", cerr)
+		t.Errorf("EstimateQueryOpts error %v, want ErrShardUnavailable", cerr)
 	}
 
 	// The retry counter must have moved: the dead leg was retried before
@@ -319,7 +327,7 @@ func TestDistShardCoordinatorModeSurface(t *testing.T) {
 	if len(parts.Partials) == 0 {
 		t.Fatal("coordinator partials empty")
 	}
-	wantParts, err := cl.single.EstimatePartialsCtx(ctx, "lineitem", []string{"l_returnflag"}, "l_quantity")
+	wantParts, err := cl.single.EstimatePartialsOpts(ctx, "lineitem", []string{"l_returnflag"}, "l_quantity", congress.PartialsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

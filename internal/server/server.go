@@ -129,9 +129,7 @@ func (o *Options) withDefaults() {
 // Server serves one warehouse over HTTP. Create with New, start with
 // Start (or mount Handler on your own listener), stop with Shutdown.
 type Server struct {
-	w    *congress.Warehouse        // nil in sharded/coordinator modes
-	sw   *congress.ShardedWarehouse // nil except in in-process sharded mode
-	co   *congress.Coordinator      // nil except in distributed mode
+	b    Backend
 	opts Options
 	log  *slog.Logger
 	adm  *admission
@@ -151,13 +149,19 @@ type Server struct {
 // of opts.Warehouse, opts.Sharded and opts.Coordinator is set (a
 // programming error, not a runtime condition).
 func New(opts Options) *Server {
-	backends := 0
-	for _, set := range []bool{opts.Warehouse != nil, opts.Sharded != nil, opts.Coordinator != nil} {
-		if set {
-			backends++
-		}
+	// Only non-nil pointers go into the slice: a nil *T stored in the
+	// interface would not compare equal to nil later.
+	var backends []Backend
+	if opts.Warehouse != nil {
+		backends = append(backends, opts.Warehouse)
 	}
-	if backends != 1 {
+	if opts.Sharded != nil {
+		backends = append(backends, opts.Sharded)
+	}
+	if opts.Coordinator != nil {
+		backends = append(backends, opts.Coordinator)
+	}
+	if len(backends) != 1 {
 		panic("server: exactly one of Options.Warehouse, Options.Sharded and Options.Coordinator is required")
 	}
 	if opts.Follower != nil && opts.Warehouse == nil {
@@ -168,9 +172,7 @@ func New(opts Options) *Server {
 	}
 	opts.withDefaults()
 	s := &Server{
-		w:    opts.Warehouse,
-		sw:   opts.Sharded,
-		co:   opts.Coordinator,
+		b:    backends[0],
 		opts: opts,
 		log:  opts.Logger,
 		adm:  newAdmission(opts.MaxConcurrent, opts.QueueDepth),
@@ -222,7 +224,7 @@ func (s *Server) Start(addr string) (string, error) {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.log.Info("congressd shutting down, draining in-flight requests")
 	err := s.http.Shutdown(ctx)
-	m := s.warehouseMetrics()
+	m := s.b.Metrics()
 	lat := s.met.all.Snapshot()
 	s.log.Info("final metrics",
 		slog.Int64("answers_served", m.Answer.Count),
@@ -372,105 +374,43 @@ func (s *Server) admitWithDeadline(w http.ResponseWriter, r *http.Request, timeo
 	}, true
 }
 
-// ----- backend dispatch -----
-//
-// The server fronts a single warehouse, an in-process sharded one, or a
-// distributed coordinator. The direct-estimation, partials, insert,
-// synopsis and metrics paths work against all three through these
-// helpers; the SQL paths are single-warehouse only (neither sharded
-// backend holds merged base relations to execute against).
+// ----- backend -----
 
-// tableHandle is the insert surface every backend's table handle shares.
-type tableHandle interface {
-	Columns() []engine.Column
-	Insert(vals ...congress.Value) error
+// Backend is everything the server asks of the warehouse it fronts.
+// *congress.Warehouse, *congress.ShardedWarehouse and
+// *congress.Coordinator all satisfy it, so the direct-estimation,
+// partials, insert, synopsis and metrics paths are written once. What
+// only some backends can do is an optional capability the handlers
+// check for: sqlBackend, durableBackend, shardMetrics.
+type Backend interface {
+	TableColumns(table string) ([]engine.Column, error)
+	InsertRows(ctx context.Context, table string, rows []congress.Row) (int, error)
+	RefreshSynopsis(table string) error
+	EstimateQueryOpts(ctx context.Context, table string, grouping []string, agg estimate.Aggregate, aggCol string, confidence float64, opts congress.ApproxOptions) ([]estimate.GroupEstimate, congress.CacheStatus, error)
+	EstimatePartialsOpts(ctx context.Context, table string, grouping []string, aggCol string, opts congress.PartialsOptions) ([]estimate.GroupPartial, error)
+	Synopses() []congress.SynopsisInfo
+	AllocationTable(table string) ([]congress.AllocationRow, error)
+	Metrics() congress.MetricsSnapshot
 }
 
-// batchTableHandle is the optional bulk-insert surface: the coordinator
-// implements it to route a whole request's rows with one HTTP insert
-// per shard instead of one per row.
-type batchTableHandle interface {
-	InsertBatch(ctx context.Context, rows []congress.Row) (int, error)
+// sqlBackend executes SQL: only a single warehouse holds whole base
+// relations (and their sample relations) to run a query against.
+type sqlBackend interface {
+	ApproxQuery(ctx context.Context, sql string, opts congress.ApproxOptions) (*congress.Result, congress.CacheStatus, error)
+	QueryCtx(ctx context.Context, sql string) (*congress.Result, error)
 }
 
-func (s *Server) lookupTable(name string) (tableHandle, error) {
-	switch {
-	case s.co != nil:
-		return s.co.Table(name)
-	case s.sw != nil:
-		return s.sw.Table(name)
-	default:
-		return s.w.Table(name)
-	}
+// durableBackend can own a data directory. PersistStats reports false
+// when it was opened without one.
+type durableBackend interface {
+	PersistStats() (congress.PersistStats, bool)
+	TriggerSnapshot() error
 }
 
-func (s *Server) estimateQuery(ctx context.Context, e *client.EstimateRequest, agg estimate.Aggregate, opts congress.ApproxOptions) ([]estimate.GroupEstimate, congress.CacheStatus, error) {
-	switch {
-	case s.co != nil:
-		return s.co.EstimateQueryOpts(ctx, e.Table, e.GroupBy, agg, e.Column, e.Confidence, opts)
-	case s.sw != nil:
-		return s.sw.EstimateQueryOpts(ctx, e.Table, e.GroupBy, agg, e.Column, e.Confidence, opts)
-	default:
-		return s.w.EstimateQueryOpts(ctx, e.Table, e.GroupBy, agg, e.Column, e.Confidence, opts)
-	}
-}
-
-func (s *Server) estimatePartials(ctx context.Context, table string, groupBy []string, aggCol string, opts congress.PartialsOptions) ([]estimate.GroupPartial, error) {
-	switch {
-	case s.co != nil:
-		return s.co.EstimatePartialsOpts(ctx, table, groupBy, aggCol, opts)
-	case s.sw != nil:
-		return s.sw.EstimatePartialsOpts(ctx, table, groupBy, aggCol, opts)
-	default:
-		return s.w.EstimatePartialsOpts(ctx, table, groupBy, aggCol, opts)
-	}
-}
-
-func (s *Server) refreshSynopsis(table string) error {
-	switch {
-	case s.co != nil:
-		return s.co.RefreshSynopsis(table)
-	case s.sw != nil:
-		return s.sw.RefreshSynopsis(table)
-	default:
-		return s.w.RefreshSynopsis(table)
-	}
-}
-
-func (s *Server) synopses() []congress.SynopsisInfo {
-	switch {
-	case s.co != nil:
-		return s.co.Synopses()
-	case s.sw != nil:
-		return s.sw.Synopses()
-	default:
-		return s.w.Synopses()
-	}
-}
-
-func (s *Server) allocationTable(table string) ([]congress.AllocationRow, error) {
-	switch {
-	case s.co != nil:
-		return s.co.AllocationTable(table)
-	case s.sw != nil:
-		return s.sw.AllocationTable(table)
-	default:
-		return s.w.AllocationTable(table)
-	}
-}
-
-func (s *Server) warehouseMetrics() congress.MetricsSnapshot {
-	switch {
-	case s.co != nil:
-		// The coordinator holds no warehouse of its own; engine telemetry
-		// lives on the shard processes. Its own snapshot carries only the
-		// coordinator-level counters (hybrid residual composition).
-		return s.co.Metrics()
-	case s.sw != nil:
-		return s.sw.Metrics()
-	default:
-		return s.w.Metrics()
-	}
+// shardMetrics is a backend that fans out over shards and renders its
+// per-shard counters for /metrics.
+type shardMetrics interface {
+	RenderShardMetrics(sb *strings.Builder)
 }
 
 // ----- handlers -----
@@ -504,7 +444,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var ests []estimate.GroupEstimate
-		ests, status, err = s.estimateQuery(ctx, e, agg,
+		ests, status, err = s.b.EstimateQueryOpts(ctx, e.Table, e.GroupBy, agg, e.Column, e.Confidence,
 			congress.ApproxOptions{NoCache: req.NoCache, NoHybrid: req.NoHybrid})
 		if err != nil {
 			s.writeMappedError(w, err, http.StatusBadRequest, "bad_query")
@@ -520,9 +460,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	} else {
-		if s.w == nil {
+		sq, ok := s.b.(sqlBackend)
+		if !ok {
 			writeError(w, http.StatusBadRequest, "bad_query",
-				"sharded mode answers estimate requests only; SQL queries need a single warehouse")
+				"a sharded backend answers estimate requests only; SQL queries need a single warehouse")
 			return
 		}
 		opts := congress.ApproxOptions{NoCache: req.NoCache}
@@ -535,7 +476,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			opts.UseRewrite = true
 		}
 		var res *congress.Result
-		res, status, err = s.w.ApproxQuery(ctx, req.SQL, opts)
+		res, status, err = sq.ApproxQuery(ctx, req.SQL, opts)
 		if err != nil {
 			s.writeMappedError(w, err, http.StatusBadRequest, "bad_query")
 			return
@@ -557,9 +498,10 @@ func (s *Server) handleExact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_query", "sql is required")
 		return
 	}
-	if s.w == nil {
+	sq, ok := s.b.(sqlBackend)
+	if !ok {
 		writeError(w, http.StatusBadRequest, "bad_query",
-			"sharded mode has no merged base tables; /v1/exact needs a single warehouse")
+			"a sharded backend has no merged base tables; /v1/exact needs a single warehouse")
 		return
 	}
 	ctx, cancel, ok := s.admitWithDeadline(w, r, req.TimeoutMS)
@@ -572,7 +514,7 @@ func (s *Server) handleExact(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	res, err := s.w.QueryCtx(ctx, req.SQL)
+	res, err := sq.QueryCtx(ctx, req.SQL)
 	if err != nil {
 		s.writeMappedError(w, err, http.StatusBadRequest, "bad_query")
 		return
@@ -616,68 +558,40 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	tbl, err := s.lookupTable(req.Table)
+	cols, err := s.b.TableColumns(req.Table)
 	if err != nil {
 		s.writeMappedError(w, err, http.StatusBadRequest, "bad_request")
 		return
 	}
-	cols := tbl.Columns()
-	inserted := 0
-	if bt, isBatch := tbl.(batchTableHandle); isBatch {
-		rows := make([]congress.Row, len(req.Rows))
-		for ri, raw := range req.Rows {
-			if len(raw) != len(cols) {
-				writeError(w, http.StatusBadRequest, "bad_request",
-					fmt.Sprintf("row %d has %d values, table %q has %d columns (0 rows inserted before failure)",
-						ri, len(raw), req.Table, len(cols)))
-				return
-			}
-			row := make(congress.Row, len(raw))
-			for i, rv := range raw {
-				v, err := jsonToValue(rv, cols[i])
-				if err != nil {
-					writeError(w, http.StatusBadRequest, "bad_request",
-						fmt.Sprintf("row %d column %q: %v (0 rows inserted before failure)", ri, cols[i].Name, err))
-					return
-				}
-				row[i] = v
-			}
-			rows[ri] = row
-		}
-		n, err := bt.InsertBatch(ctx, rows)
-		if err != nil {
-			s.writeMappedError(w, err, http.StatusBadRequest, "bad_request")
+	// Decode and type-check the whole batch before applying any of it: a
+	// malformed row means nothing was inserted, on every backend.
+	rows := make([]congress.Row, len(req.Rows))
+	for ri, raw := range req.Rows {
+		if len(raw) != len(cols) {
+			writeError(w, http.StatusBadRequest, "bad_request",
+				fmt.Sprintf("row %d has %d values, table %q has %d columns (0 rows inserted)",
+					ri, len(raw), req.Table, len(cols)))
 			return
 		}
-		inserted = n
-	} else {
-		for _, raw := range req.Rows {
-			if len(raw) != len(cols) {
+		row := make(congress.Row, len(raw))
+		for i, rv := range raw {
+			if row[i], err = jsonToValue(rv, cols[i]); err != nil {
 				writeError(w, http.StatusBadRequest, "bad_request",
-					fmt.Sprintf("row %d has %d values, table %q has %d columns (%d rows inserted before failure)",
-						inserted, len(raw), req.Table, len(cols), inserted))
+					fmt.Sprintf("row %d column %q: %v (0 rows inserted)", ri, cols[i].Name, err))
 				return
 			}
-			row := make([]congress.Value, len(raw))
-			for i, rv := range raw {
-				v, err := jsonToValue(rv, cols[i])
-				if err != nil {
-					writeError(w, http.StatusBadRequest, "bad_request",
-						fmt.Sprintf("row %d column %q: %v (%d rows inserted before failure)", inserted, cols[i].Name, err, inserted))
-					return
-				}
-				row[i] = v
-			}
-			if err := tbl.Insert(row...); err != nil {
-				writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-				return
-			}
-			inserted++
 		}
+		rows[ri] = row
+	}
+	inserted, err := s.b.InsertRows(ctx, req.Table, rows)
+	if err != nil {
+		s.writeMappedError(w, fmt.Errorf("%w (%d rows inserted before failure)", err, inserted),
+			http.StatusBadRequest, "bad_request")
+		return
 	}
 	resp := client.InsertResponse{Inserted: inserted}
 	if req.Refresh {
-		if err := s.refreshSynopsis(req.Table); err != nil {
+		if err := s.b.RefreshSynopsis(req.Table); err != nil {
 			s.writeMappedError(w, err, http.StatusInternalServerError, "internal")
 			return
 		}
@@ -710,7 +624,7 @@ func (s *Server) handlePartials(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	parts, err := s.estimatePartials(ctx, req.Table, req.GroupBy, req.Column,
+	parts, err := s.b.EstimatePartialsOpts(ctx, req.Table, req.GroupBy, req.Column,
 		congress.PartialsOptions{NoHybrid: req.NoHybrid})
 	if err != nil {
 		s.writeMappedError(w, err, http.StatusBadRequest, "bad_query")
@@ -732,26 +646,22 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	if s.co != nil {
+	d, ok := s.b.(durableBackend)
+	if !ok {
 		writeError(w, http.StatusConflict, "not_persistent",
-			"the coordinator holds no data of its own; snapshot each shard congressd (they own the data directories)")
+			"a sharded backend holds no data directory of its own: in-process shards are memory-only, and behind a coordinator each shard congressd owns its -data-dir (snapshot those)")
 		return
 	}
-	if s.sw != nil {
-		writeError(w, http.StatusConflict, "not_persistent",
-			"in-process sharded warehouses hold no data directory; snapshots need a single warehouse with -data-dir")
-		return
-	}
-	if _, enabled := s.w.PersistStats(); !enabled {
+	if _, enabled := d.PersistStats(); !enabled {
 		writeError(w, http.StatusConflict, "not_persistent",
 			"server runs without a data directory; start congressd with -data-dir to enable snapshots")
 		return
 	}
-	if err := s.w.TriggerSnapshot(); err != nil {
+	if err := d.TriggerSnapshot(); err != nil {
 		s.writeMappedError(w, err, http.StatusInternalServerError, "internal")
 		return
 	}
-	ps, _ := s.w.PersistStats()
+	ps, _ := d.PersistStats()
 	writeJSON(w, http.StatusOK, client.SnapshotResponse{
 		Dir:        ps.Dir,
 		Generation: ps.Generation,
@@ -761,7 +671,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSynopses(w http.ResponseWriter, r *http.Request) {
 	withAlloc := r.URL.Query().Get("allocation") != ""
-	infos := s.synopses()
+	infos := s.b.Synopses()
 	resp := client.SynopsesResponse{Synopses: make([]client.SynopsisInfo, 0, len(infos))}
 	for _, si := range infos {
 		ci := client.SynopsisInfo{
@@ -776,15 +686,14 @@ func (s *Server) handleSynopses(w http.ResponseWriter, r *http.Request) {
 		}
 		// Ship the table schema so a distributed coordinator can discover
 		// it and verify every shard agrees before serving.
-		if tbl, err := s.lookupTable(si.Table); err == nil {
-			cols := tbl.Columns()
+		if cols, err := s.b.TableColumns(si.Table); err == nil {
 			ci.Columns = make([]client.ColumnSpec, len(cols))
 			for i, c := range cols {
 				ci.Columns[i] = client.ColumnSpec{Name: c.Name, Kind: c.Kind.String()}
 			}
 		}
 		if withAlloc {
-			rows, err := s.allocationTable(si.Table)
+			rows, err := s.b.AllocationTable(si.Table)
 			if err == nil {
 				ci.Allocation = make([]client.AllocationRow, len(rows))
 				for i, ar := range rows {
@@ -805,17 +714,15 @@ func (s *Server) handleSynopses(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var sb strings.Builder
-	if s.co == nil {
-		sb.WriteString(s.warehouseMetrics().String())
+	// Every backend's own engine counters: behind a coordinator these are
+	// the coordinator-level ones (hybrid residual composition); the shard
+	// processes expose theirs on their own /metrics.
+	sb.WriteString(s.b.Metrics().String())
+	if sh, ok := s.b.(shardMetrics); ok {
+		sh.RenderShardMetrics(&sb)
 	}
-	if s.sw != nil {
-		s.sw.ShardTelemetry().Render(&sb)
-	}
-	if s.co != nil {
-		s.co.ShardTelemetry().RenderAs(&sb, "congress_distshard")
-	}
-	if s.w != nil {
-		if ps, ok := s.w.PersistStats(); ok {
+	if d, ok := s.b.(durableBackend); ok {
+		if ps, ok := d.PersistStats(); ok {
 			fmt.Fprintf(&sb, "persist_generation %d\n", ps.Generation)
 			fmt.Fprintf(&sb, "persist_wal_durable_offset %d\n", ps.DurableWALOffset)
 			fmt.Fprintf(&sb, "persist_wal_record_seq %d\n", ps.RecordSeq)
@@ -850,7 +757,7 @@ func (s *Server) replRole() string {
 		return "follower"
 	case s.opts.ReplLeader != nil:
 		return "leader"
-	case s.co != nil:
+	case s.opts.Coordinator != nil:
 		return "coordinator"
 	default:
 		return "standalone"

@@ -1,18 +1,12 @@
 package congress
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"strings"
-	"sync"
 
 	"github.com/approxdb/congress/internal/core"
 	"github.com/approxdb/congress/internal/engine"
-	"github.com/approxdb/congress/internal/estimate"
-	"github.com/approxdb/congress/internal/metrics"
 	"github.com/approxdb/congress/internal/sample"
-	"github.com/approxdb/congress/internal/shard"
 )
 
 // StratifiedSample is the public name of the stratified sample a
@@ -22,12 +16,13 @@ type StratifiedSample = sample.Stratified[Row]
 
 // ShardedWarehouse partitions every table by hash of a routing key
 // across K in-process shard warehouses, each holding its own
-// congressional synopsis over its slice of the data. Inserts route to
-// one shard; estimation scatter-gathers: each shard computes mergeable
-// per-group partials (EstimatePartialsCtx), the coordinator merges them
-// by sum-of-sums and sum-of-variances (estimate.MergePartials), and the
-// confidence interval is taken exactly once (estimate.Finalize) — never
-// by adding per-shard half-widths.
+// congressional synopsis over its slice of the data. It is the
+// coordinator core (shardcore.go) over in-process legs: inserts route to
+// one shard, estimation scatter-gathers mergeable per-group partials and
+// takes the confidence interval exactly once over the merged state.
+// Everything declared here is what only an in-process deployment can do:
+// create and bulk-load tables, build the per-shard synopses, union the
+// samples.
 //
 // Routing by the finest grouping key places every stratum whole on one
 // shard, so the per-shard synopses partition the stratum set and the
@@ -40,47 +35,30 @@ type StratifiedSample = sample.Stratified[Row]
 // A ShardedWarehouse keeps its shards in this process; durability
 // belongs to the individual Warehouse and is not exposed through this
 // handle. For shards that live in their own processes with their own
-// data directories, see Coordinator, which speaks the same
-// scatter-gather protocol over HTTP.
+// data directories, see Coordinator: the same core over HTTP legs.
 type ShardedWarehouse struct {
-	router *shard.Router
-	tel    *shard.Telemetry
-	mtel   *metrics.Telemetry // coordinator-level counters (hybrid composition)
+	*shardCore
 	shards []*Warehouse
-
-	mu     sync.RWMutex
-	tables map[string]*ShardedTable // lower-cased name → handle
 }
 
 // OpenSharded creates an empty sharded warehouse over the given number
 // of shards (at least 1).
 func OpenSharded(shards int) (*ShardedWarehouse, error) {
-	r, err := shard.NewRouter(shards)
+	c, err := newShardCore(shards, "congress_shard")
 	if err != nil {
-		return nil, fmt.Errorf("congress: %w", err)
+		return nil, err
 	}
-	sw := &ShardedWarehouse{
-		router: r,
-		tel:    shard.NewTelemetry(shards),
-		mtel:   metrics.NewTelemetry(),
-		shards: make([]*Warehouse, shards),
-		tables: make(map[string]*ShardedTable),
-	}
+	sw := &ShardedWarehouse{shardCore: c, shards: make([]*Warehouse, shards)}
 	for i := range sw.shards {
 		sw.shards[i] = Open()
+		c.legs[i] = localShard{sw.shards[i]}
 	}
 	return sw, nil
 }
 
-// NumShards returns the configured shard count.
-func (sw *ShardedWarehouse) NumShards() int { return len(sw.shards) }
-
 // Shard returns the i-th shard warehouse for diagnostics and tests.
 // Mutating a shard directly bypasses routing; treat it as read-only.
 func (sw *ShardedWarehouse) Shard(i int) *Warehouse { return sw.shards[i] }
-
-// ShardTelemetry returns the coordinator's per-shard counters.
-func (sw *ShardedWarehouse) ShardTelemetry() *shard.Telemetry { return sw.tel }
 
 // ConfigureCache re-sizes every shard's result cache; see
 // Warehouse.ConfigureCache. Note that sharded estimates always bypass
@@ -105,42 +83,21 @@ func (sw *ShardedWarehouse) Close() error {
 	return first
 }
 
-// ShardedTable is a handle to a table partitioned across the shards.
-type ShardedTable struct {
-	sw     *ShardedWarehouse
-	name   string
-	g      *core.Grouping // routing grouping, resolved against the schema
-	maxCol int            // highest routing ordinal, for short-row guards
-	per    []*Table       // per-shard handles, indexed by shard ordinal
-}
-
 // CreateTable registers an empty table on every shard. routeBy names
 // the routing key columns — use the finest grouping attributes the
 // table's synopsis will be built over, so every stratum has a single
 // home shard.
 func (sw *ShardedWarehouse) CreateTable(name string, routeBy []string, cols ...engine.Column) (*ShardedTable, error) {
-	schema, err := engine.NewSchema(cols...)
+	st, err := sw.newTable(name, cols, routeBy)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+		return nil, err
 	}
-	g, err := core.NewGrouping(schema, routeBy)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	if len(g.Columns()) == 0 {
-		return nil, fmt.Errorf("%w: sharded table %q needs at least one routing column", ErrBadQuery, name)
-	}
-	st := &ShardedTable{sw: sw, name: name, g: g, maxCol: maxOrdinal(g), per: make([]*Table, len(sw.shards))}
-	for i, w := range sw.shards {
-		t, err := w.CreateTable(name, cols...)
-		if err != nil {
+	for _, w := range sw.shards {
+		if _, err := w.CreateTable(name, cols...); err != nil {
 			return nil, err
 		}
-		st.per[i] = t
 	}
-	sw.mu.Lock()
-	sw.tables[strings.ToLower(name)] = st
-	sw.mu.Unlock()
+	sw.register(st)
 	return st, nil
 }
 
@@ -148,95 +105,28 @@ func (sw *ShardedWarehouse) CreateTable(name string, routeBy []string, cols ...e
 // by the routing key: each shard receives its slice as a fresh relation
 // under the same name and schema. The source relation is not retained.
 func (sw *ShardedWarehouse) AttachRelation(rel *engine.Relation, routeBy []string) (*ShardedTable, error) {
-	g, err := core.NewGrouping(rel.Schema, routeBy)
+	st, err := sw.newTable(rel.Name, rel.Schema.Cols, routeBy)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	if len(g.Columns()) == 0 {
-		return nil, fmt.Errorf("%w: sharded table %q needs at least one routing column", ErrBadQuery, rel.Name)
+		return nil, err
 	}
 	parts := make([][]Row, len(sw.shards))
 	for _, row := range rel.Rows() {
-		i := sw.router.Route(g.Key(row))
+		i := st.RouteOf(row)
 		parts[i] = append(parts[i], row)
 	}
-	st := &ShardedTable{sw: sw, name: rel.Name, g: g, maxCol: maxOrdinal(g), per: make([]*Table, len(sw.shards))}
 	for i, w := range sw.shards {
 		shardRel := engine.NewRelation(rel.Name, rel.Schema)
 		if err := shardRel.InsertAll(parts[i]); err != nil {
 			return nil, err
 		}
-		t, err := w.AttachRelation(shardRel)
-		if err != nil {
+		if _, err := w.AttachRelation(shardRel); err != nil {
 			return nil, err
 		}
-		st.per[i] = t
 		sw.tel.AddInserts(i, int64(len(parts[i])))
 	}
-	sw.mu.Lock()
-	sw.tables[strings.ToLower(rel.Name)] = st
-	sw.mu.Unlock()
+	sw.register(st)
 	return st, nil
 }
-
-// Table returns the handle to a sharded table. The error wraps
-// ErrUnknownTable for errors.Is classification.
-func (sw *ShardedWarehouse) Table(name string) (*ShardedTable, error) {
-	sw.mu.RLock()
-	st := sw.tables[strings.ToLower(name)]
-	sw.mu.RUnlock()
-	if st == nil {
-		return nil, fmt.Errorf("congress: %w %q", ErrUnknownTable, name)
-	}
-	return st, nil
-}
-
-// maxOrdinal returns the highest column ordinal the routing key reads.
-func maxOrdinal(g *core.Grouping) int {
-	m := 0
-	for _, c := range g.Columns() {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// Insert routes one row to its home shard by the routing key and
-// appends it there; the shard's synopsis maintainer (if any) is fed as
-// on an unsharded warehouse.
-func (t *ShardedTable) Insert(vals ...Value) error {
-	row := Row(vals)
-	if len(row) <= t.maxCol {
-		return fmt.Errorf("%w: row has %d values but the routing key reads column %d",
-			ErrBadQuery, len(row), t.maxCol)
-	}
-	i := t.sw.router.Route(t.g.Key(row))
-	if err := t.per[i].Insert(vals...); err != nil {
-		return err
-	}
-	t.sw.tel.AddInserts(i, 1)
-	return nil
-}
-
-// NumRows returns the total row count across shards.
-func (t *ShardedTable) NumRows() int {
-	n := 0
-	for _, p := range t.per {
-		n += p.NumRows()
-	}
-	return n
-}
-
-// Columns returns a copy of the table's schema columns, in order.
-func (t *ShardedTable) Columns() []engine.Column { return t.per[0].Columns() }
-
-// Name returns the table name.
-func (t *ShardedTable) Name() string { return t.name }
-
-// RouteOf reports which shard a row's routing key maps to, for tests
-// and diagnostics.
-func (t *ShardedTable) RouteOf(row Row) int { return t.sw.router.Route(t.g.Key(row)) }
 
 // BuildSynopsis builds a congressional synopsis on every non-empty
 // shard of spec.Table, splitting spec.Space across shards proportional
@@ -245,14 +135,17 @@ func (t *ShardedTable) RouteOf(row Row) int { return t.sw.router.Route(t.g.Key(r
 // and the shard ordinal, so the build is deterministic for a fixed
 // (data, routing, Seed) and shards never share a random stream.
 func (sw *ShardedWarehouse) BuildSynopsis(spec SynopsisSpec) error {
-	st, err := sw.Table(spec.Table)
-	if err != nil {
+	if _, err := sw.Table(spec.Table); err != nil {
 		return err
 	}
 	rows := make([]int, len(sw.shards))
 	total := 0
-	for i, p := range st.per {
-		rows[i] = p.NumRows()
+	for i, w := range sw.shards {
+		t, err := w.Table(spec.Table)
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		rows[i] = t.NumRows()
 		total += rows[i]
 	}
 	if total == 0 {
@@ -309,223 +202,20 @@ func splitProportional(budget int, weights []int, total int) []int {
 	return out
 }
 
-// RefreshSynopsis re-materializes the table's sample on every shard
-// that has a synopsis, in parallel.
-func (sw *ShardedWarehouse) RefreshSynopsis(table string) error {
-	if !sw.hasSynopsis(table) {
-		return fmt.Errorf("%w %q", ErrNoSynopsis, table)
-	}
-	_, err := shard.Fanout(context.Background(), len(sw.shards), func(_ context.Context, i int) (struct{}, error) {
-		if _, ok := sw.shards[i].aq.Synopsis(table); !ok {
-			return struct{}{}, nil // empty shard skipped at build time
-		}
-		return struct{}{}, sw.shards[i].RefreshSynopsis(table)
-	})
-	return err
-}
-
-// hasSynopsis reports whether any shard holds a synopsis for table —
-// the distinction between "never built" (an error) and "this shard was
-// empty at build time" (skipped during scatter-gather).
-func (sw *ShardedWarehouse) hasSynopsis(table string) bool {
-	for _, w := range sw.shards {
-		if _, ok := w.aq.Synopsis(table); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// Estimate scatter-gathers a direct estimate; see EstimateCtx.
-func (sw *ShardedWarehouse) Estimate(table string, grouping []string, agg estimate.Aggregate, aggCol string, confidence float64) ([]estimate.GroupEstimate, error) {
-	return sw.EstimateCtx(context.Background(), table, grouping, agg, aggCol, confidence)
-}
-
-// EstimateCtx answers a group-by estimate by scatter-gather: every
-// shard with a synopsis computes per-group partials over its own
-// sample, the coordinator merges them (sums of sums, sums of
-// variances; groups absent on a shard contribute that shard's explicit
-// zero-information record), and the confidence interval is taken once
-// over the merged state. With finest-key routing the result is
-// numerically identical to a single warehouse holding the same strata.
-//
-// Fan-out legs observe ctx: the first failing shard cancels its
-// siblings, and per-shard leg latency lands in ShardTelemetry.
-func (sw *ShardedWarehouse) EstimateCtx(ctx context.Context, table string, grouping []string, agg estimate.Aggregate, aggCol string, confidence float64) ([]estimate.GroupEstimate, error) {
-	merged, err := sw.EstimatePartialsCtx(ctx, table, grouping, aggCol)
-	if err != nil {
-		return nil, err
-	}
-	return estimate.Finalize(merged, agg, confidence)
-}
-
-// EstimatePartialsCtx scatter-gathers the partials scan across the
-// shards and merges, without taking confidence intervals — the same
-// contract as Warehouse.EstimatePartialsCtx, so an in-process sharded
-// warehouse can itself serve /v1/estimate/partials as one leg of a
-// larger distributed deployment. Shards that were empty at build time
-// (no synopsis) contribute nothing.
-func (sw *ShardedWarehouse) EstimatePartialsCtx(ctx context.Context, table string, grouping []string, aggCol string) ([]estimate.GroupPartial, error) {
-	return sw.EstimatePartialsOpts(ctx, table, grouping, aggCol, PartialsOptions{})
-}
-
-// EstimatePartialsOpts is EstimatePartialsCtx with options; NoHybrid is
-// forwarded to every shard so a covered shard's exact datacube answer is
-// suppressed and the whole fan-out comes from the samples.
-func (sw *ShardedWarehouse) EstimatePartialsOpts(ctx context.Context, table string, grouping []string, aggCol string, opts PartialsOptions) ([]estimate.GroupPartial, error) {
-	if !sw.hasSynopsis(table) {
-		return nil, fmt.Errorf("%w %q", ErrNoSynopsis, table)
-	}
-	backends := make([]ShardBackend, len(sw.shards))
-	for i, w := range sw.shards {
-		backends[i] = localShard{w}
-	}
-	parts, _, err := scatterPartials(ctx, sw.tel, backends, table, grouping, aggCol, opts)
-	if err != nil {
-		return nil, err
-	}
-	merged := estimate.MergePartials(parts...)
-	if !opts.NoHybrid && hasResidualMix(merged) {
-		sw.mtel.HybridResidual()
-	}
-	return merged, nil
-}
-
-// EstimateQuery matches the Warehouse signature so congressd can serve
-// either backend. Sharded estimates always bypass the result cache:
-// the merged answer depends on every shard's data epoch at once, and a
-// coordinator-level key would have to read all of them racily. The
-// returned status is therefore always CacheBypass.
-func (sw *ShardedWarehouse) EstimateQuery(ctx context.Context, table string, grouping []string, agg estimate.Aggregate, aggCol string, confidence float64, noCache bool) ([]estimate.GroupEstimate, CacheStatus, error) {
-	return sw.EstimateQueryOpts(ctx, table, grouping, agg, aggCol, confidence, ApproxOptions{NoCache: noCache})
-}
-
-// EstimateQueryOpts is EstimateQuery with the full option set; only
-// NoHybrid is meaningful here (sharded estimates always bypass the
-// result cache).
-func (sw *ShardedWarehouse) EstimateQueryOpts(ctx context.Context, table string, grouping []string, agg estimate.Aggregate, aggCol string, confidence float64, opts ApproxOptions) ([]estimate.GroupEstimate, CacheStatus, error) {
-	merged, err := sw.EstimatePartialsOpts(ctx, table, grouping, aggCol, PartialsOptions{NoHybrid: opts.NoHybrid})
-	if err != nil {
-		return nil, CacheBypass, err
-	}
-	ests, err := estimate.Finalize(merged, agg, confidence)
-	return ests, CacheBypass, err
-}
-
 // Sample returns the weighted union of the per-shard stratified samples
 // for a table: group populations add, and when perGroupCap forces a
 // subsample the per-shard draws follow the group's population split
 // (core.UnionStratified). seed fixes the draw (0 = 1). perGroupCap <= 0
 // concatenates everything.
 func (sw *ShardedWarehouse) Sample(table string, perGroupCap int, seed int64) (*StratifiedSample, error) {
-	if !sw.hasSynopsis(table) {
-		return nil, fmt.Errorf("%w %q", ErrNoSynopsis, table)
-	}
 	parts := make([]*sample.Stratified[Row], 0, len(sw.shards))
 	for _, w := range sw.shards {
 		if syn, ok := w.aq.Synopsis(table); ok {
 			parts = append(parts, syn.Sample())
 		}
 	}
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("%w %q", ErrNoSynopsis, table)
+	}
 	return core.UnionStratified(parts, perGroupCap, seed)
-}
-
-// AllocationTable concatenates the per-shard allocation tables and
-// re-sorts by descending target allocation (ties broken by rendered
-// group, so the listing is deterministic).
-func (sw *ShardedWarehouse) AllocationTable(table string) ([]AllocationRow, error) {
-	if !sw.hasSynopsis(table) {
-		return nil, fmt.Errorf("congress: no synopsis for %q", table)
-	}
-	var out []AllocationRow
-	for _, w := range sw.shards {
-		if _, ok := w.aq.Synopsis(table); !ok {
-			continue
-		}
-		rows, err := w.AllocationTable(table)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rows...)
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Target != out[b].Target {
-			return out[a].Target > out[b].Target
-		}
-		return strings.Join(out[a].Group, "\x1f") < strings.Join(out[b].Group, "\x1f")
-	})
-	return out, nil
-}
-
-// Synopses lists every synopsis merged across shards: sizes, strata and
-// pending counts sum; Shards counts the shards holding a partition.
-// Sorted by table name.
-func (sw *ShardedWarehouse) Synopses() []SynopsisInfo {
-	byTable := make(map[string]*SynopsisInfo)
-	for _, w := range sw.shards {
-		for _, info := range w.Synopses() {
-			m := byTable[info.Table]
-			if m == nil {
-				cp := info
-				cp.Shards = 1
-				byTable[info.Table] = &cp
-				continue
-			}
-			m.Space += info.Space
-			m.SampleSize += info.SampleSize
-			m.Strata += info.Strata
-			m.PendingInserts += info.PendingInserts
-			m.Shards++
-		}
-	}
-	out := make([]SynopsisInfo, 0, len(byTable))
-	for _, info := range byTable {
-		out = append(out, *info)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Table < out[b].Table })
-	return out
-}
-
-// Metrics sums the per-shard telemetry snapshots field-wise into one
-// warehouse-level reading, plus the coordinator-level counters (the
-// hybrid residual composition count lives on the coordinator, not any
-// single shard).
-func (sw *ShardedWarehouse) Metrics() MetricsSnapshot {
-	sum := sw.mtel.Snapshot()
-	for _, w := range sw.shards {
-		addSnapshot(&sum, w.Metrics())
-	}
-	return sum
-}
-
-// addSnapshot folds one shard's telemetry into the running sum.
-func addSnapshot(sum *MetricsSnapshot, s MetricsSnapshot) {
-	sum.RowsScanned += s.RowsScanned
-	sum.StrataTouched += s.StrataTouched
-	sum.MaintainerInserts += s.MaintainerInserts
-	sum.MaintainerQueueDepth += s.MaintainerQueueDepth
-	sum.CacheHits += s.CacheHits
-	sum.CacheMisses += s.CacheMisses
-	sum.CacheEvictions += s.CacheEvictions
-	sum.CacheInvalidations += s.CacheInvalidations
-	sum.HybridExact += s.HybridExact
-	sum.HybridResidual += s.HybridResidual
-	sum.HybridFallback += s.HybridFallback
-	addOp(&sum.Build, s.Build)
-	addOp(&sum.Refresh, s.Refresh)
-	addOp(&sum.Answer, s.Answer)
-	addOp(&sum.Estimate, s.Estimate)
-	sum.WALRecords += s.WALRecords
-	sum.WALBytes += s.WALBytes
-	sum.Fsyncs += s.Fsyncs
-	addOp(&sum.Snapshots, s.Snapshots)
-	sum.SnapshotBytes += s.SnapshotBytes
-	sum.ReplayedRecords += s.ReplayedRecords
-	sum.TruncatedBytes += s.TruncatedBytes
-	sum.Recovery += s.Recovery
-}
-
-func addOp(sum *metrics.OpSnapshot, o metrics.OpSnapshot) {
-	sum.Count += o.Count
-	sum.Total += o.Total
 }

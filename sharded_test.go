@@ -188,8 +188,16 @@ func TestShardedInsertRoutingLocality(t *testing.T) {
 			}
 		}
 	}
-	if tbl.NumRows() != perRegion*len(regions) {
-		t.Fatalf("total rows %d", tbl.NumRows())
+	total := 0
+	for i := 0; i < sw.NumShards(); i++ {
+		st, err := sw.Shard(i).Table("sales")
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += st.NumRows()
+	}
+	if total != perRegion*len(regions) {
+		t.Fatalf("total rows %d", total)
 	}
 	var telTotal int64
 	for i := 0; i < sw.NumShards(); i++ {
@@ -435,8 +443,8 @@ func TestShardedConcurrentOps(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if _, err := sw.EstimateCtx(context.Background(), "sales",
-					[]string{"region"}, Sum, "amount", 0.90); err != nil {
+				if _, _, err := sw.EstimateQueryOpts(context.Background(), "sales",
+					[]string{"region"}, Sum, "amount", 0.90, ApproxOptions{}); err != nil {
 					errCh <- err
 					return
 				}

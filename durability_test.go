@@ -48,7 +48,7 @@ func buildDurableSales(t *testing.T, dir string) *Warehouse {
 	return w
 }
 
-func TestSaveOpenDirAllocationIdentical(t *testing.T) {
+func TestCloseOpenDirAllocationIdentical(t *testing.T) {
 	w, _ := buildSalesWarehouse(t)
 	if err := w.BuildSynopsis(SynopsisSpec{
 		Table: "sales", GroupBy: []string{"region", "product"}, Space: 800,
@@ -70,7 +70,10 @@ func TestSaveOpenDirAllocationIdentical(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if err := w.Save(dir); err != nil {
+	if err := w.EnablePersistence(dir, noTriggers); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	w2, stats, err := OpenDir(dir, noTriggers)
@@ -119,7 +122,10 @@ func TestRestoreAdvancesEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := w.Save(dir); err != nil {
+	if err := w.EnablePersistence(dir, noTriggers); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	w2, _, err := OpenDir(dir, noTriggers)

@@ -245,34 +245,43 @@ func TestHybridShardedDifferential(t *testing.T) {
 		for _, e := range exact {
 			exactByKey[e.Key] = e.Value
 		}
-		prev := map[string]float64{}
-		for j := 0; j <= k; j++ {
-			lists := make([][]GroupPartial, k)
-			for i := 0; i < k; i++ {
-				lists[i], err = sw.Shard(i).EstimatePartialsOpts(ctx, rel.Name, grouping, "l_quantity",
-					PartialsOptions{NoHybrid: i >= j})
+		for _, agg := range []Aggregate{Sum, Count, Avg} {
+			prev := map[string]float64{}
+			for j := 0; j <= k; j++ {
+				lists := make([][]GroupPartial, k)
+				for i := 0; i < k; i++ {
+					lists[i], err = sw.Shard(i).EstimatePartialsOpts(ctx, rel.Name, grouping, "l_quantity",
+						PartialsOptions{NoHybrid: i >= j})
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				ests, err := estimate.Finalize(estimate.MergePartials(lists...), agg, 0.95)
 				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			ests, err := estimate.Finalize(estimate.MergePartials(lists...), Sum, 0.95)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range ests {
-				if j > 0 {
-					base, ok := prev[e.Key]
-					if !ok {
-						t.Fatalf("k=%d j=%d: group %q appeared mid-sweep", k, j, e.Key)
+				widest := 0.0
+				for _, e := range ests {
+					if j > 0 {
+						base, ok := prev[e.Key]
+						if !ok {
+							t.Fatalf("k=%d %v j=%d: group %q appeared mid-sweep", k, agg, j, e.Key)
+						}
+						if e.Bound > base*(1+1e-12) {
+							t.Errorf("k=%d %v j=%d %q: bound %v wider than at j-1 (%v)", k, agg, j, e.Key, e.Bound, base)
+						}
 					}
-					if e.Bound > base*(1+1e-12) {
-						t.Errorf("k=%d j=%d %q: bound %v wider than at j-1 (%v)", k, j, e.Key, e.Bound, base)
+					if j == k && e.Bound != 0 {
+						t.Errorf("k=%d %v full coverage %q: bound %v, want 0", k, agg, e.Key, e.Bound)
 					}
+					prev[e.Key] = e.Bound
+					widest = max(widest, e.Bound)
 				}
-				if j == k && e.Bound != 0 {
-					t.Errorf("k=%d full coverage %q: bound %v, want 0", k, e.Key, e.Bound)
+				// COUNT over whole strata is exact from the sample alone;
+				// the other two must start wide or the sweep shows nothing.
+				if j == 0 && agg != Count && widest == 0 {
+					t.Errorf("k=%d %v: pure-sample baseline already has zero width", k, agg)
 				}
-				prev[e.Key] = e.Bound
 			}
 		}
 		if err := sw.Close(); err != nil {
@@ -308,7 +317,7 @@ func TestHybridPersistenceRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := hybridTruth(t, w)
-		if err := w.Save(dir); err != nil {
+		if err := w.EnablePersistence(dir, PersistOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
@@ -345,7 +354,7 @@ func TestHybridPersistenceRoundTrip(t *testing.T) {
 		if err := w.RefreshSynopsis("sales"); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Save(dir); err != nil {
+		if err := w.EnablePersistence(dir, PersistOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {

@@ -178,22 +178,6 @@ func ReadSnapshot(path string) (*State, error) {
 	return st, nil
 }
 
-// SaveState writes a one-shot snapshot of st into dir (creating it if
-// needed) at a generation above every existing file, so a later
-// Recover loads it and replays nothing. It is the standalone
-// Warehouse.Save path — no WAL, no manager.
-func SaveState(dir string, st *State) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	max, err := maxGeneration(dir)
-	if err != nil {
-		return err
-	}
-	_, err = WriteSnapshot(dir, max+1, st)
-	return err
-}
-
 // LoadNewestSnapshot finds the newest readable, checksum-valid snapshot
 // in dir. It returns (nil, 0, 0, nil) when no snapshot exists; corrupt
 // or unreadable snapshots are skipped (counted in skipped) and an older

@@ -105,23 +105,6 @@ func TestLoadNewestEmptyDir(t *testing.T) {
 	}
 }
 
-func TestSaveStateSupersedesExistingFiles(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := WriteSnapshot(dir, 9, testState("old")); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveState(dir, testState("saved")); err != nil {
-		t.Fatal(err)
-	}
-	st, gen, _, err := LoadNewestSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen <= 9 || stateMarker(st) != "saved" {
-		t.Fatalf("gen=%d marker=%q, want a newer generation carrying the save", gen, stateMarker(st))
-	}
-}
-
 func TestParseGen(t *testing.T) {
 	if gen, ok := parseGen("snap-000000000000000a", "snap-"); !ok || gen != 10 {
 		t.Fatalf("gen=%d ok=%v", gen, ok)

@@ -103,11 +103,11 @@ func (o *FollowerOptions) withDefaults() error {
 
 // terminalError marks failures a reconnect cannot heal: divergence, or
 // a record the target refuses to apply. The follower surfaces them on
-// Fatal() and stops; a process restart (which may wipe the local
-// directory and re-bootstrap) is the recovery path. Pruned leader
-// history is NOT terminal: the follower re-bootstraps in place from the
-// leader's newest snapshot (see rebootstrap), and only turns terminal
-// when the leader has no snapshot to offer either.
+// Fatal() and stops; a process restart is the recovery path (Start
+// re-seeds from the leader when the local directory no longer replays).
+// Pruned leader history is NOT terminal: the follower re-bootstraps in
+// place from the leader's newest snapshot (see rebootstrap), and only
+// turns terminal when the leader has no snapshot to offer either.
 type terminalError struct{ err error }
 
 func (e terminalError) Error() string { return e.err.Error() }
@@ -196,16 +196,19 @@ func (f *Follower) fail(err error) {
 }
 
 // Start bootstraps the target — from the local directory when it holds
-// a valid snapshot, otherwise from a snapshot shipped by the leader —
-// and launches the tail loop. It returns only after the target reflects
-// a consistent cut of the leader's history.
+// a valid snapshot and replayable segments, otherwise from a snapshot
+// shipped by the leader — and launches the tail loop. It returns only
+// after the target reflects a consistent cut of the leader's history.
+// Damaged local files never stop a follower from starting: the leader
+// holds everything they did, so they are discarded and re-shipped.
 func (f *Follower) Start() error {
 	if err := os.MkdirAll(f.opts.Dir, 0o755); err != nil {
 		return err
 	}
 	resumed, err := f.bootstrapLocal()
 	if err != nil {
-		return err
+		f.log.Warn("local replica state unusable; bootstrapping from the leader",
+			slog.String("dir", f.opts.Dir), slog.String("err", err.Error()))
 	}
 	if !resumed {
 		if err := f.bootstrapRemote(); err != nil {
@@ -245,7 +248,7 @@ func (f *Follower) bootstrapLocal() (bool, error) {
 		return false, err
 	}
 	gen, offset, segRecords := snapGen, persist.SegmentHeaderSize, int64(0)
-	for _, g := range segs {
+	for i, g := range segs {
 		if g < snapGen {
 			continue
 		}
@@ -260,16 +263,25 @@ func (f *Follower) bootstrapLocal() (bool, error) {
 		if err != nil {
 			return false, fmt.Errorf("repl: replaying local segment %016x: %w", g, err)
 		}
-		if truncated > 0 {
-			f.log.Warn("truncated torn local segment tail",
-				slog.String("segment", fmt.Sprintf("%016x", g)), slog.Int64("bytes", truncated))
-		}
 		info, err := os.Stat(path)
 		if err != nil {
 			return false, err
 		}
 		gen, offset, segRecords = g, info.Size(), int64(records)
 		f.recordsApplied.Add(int64(records))
+		if truncated > 0 {
+			f.log.Warn("truncated torn local segment tail",
+				slog.String("segment", fmt.Sprintf("%016x", g)), slog.Int64("bytes", truncated))
+			// Later segments were logged after the records just cut;
+			// replaying them would skip history. Resume here and let the
+			// leader re-ship the rest.
+			for _, later := range segs[i+1:] {
+				if err := os.Remove(persist.WALPath(f.opts.Dir, later)); err != nil {
+					return false, err
+				}
+			}
+			break
+		}
 	}
 	f.mu.Lock()
 	f.gen, f.offset, f.segRecords = gen, offset, segRecords
@@ -317,6 +329,9 @@ func (f *Follower) tryBootstrapRemote() error {
 	if err != nil {
 		return err
 	}
+	if err := f.discardLocalExcept(snapGen); err != nil {
+		return err
+	}
 	if err := f.opts.Target.RestoreSnapshot(st); err != nil {
 		return terminal("repl: restoring shipped snapshot %016x: %w", snapGen, err)
 	}
@@ -327,6 +342,36 @@ func (f *Follower) tryBootstrapRemote() error {
 	f.mu.Unlock()
 	f.log.Info("bootstrapped from leader snapshot",
 		slog.String("snapshot", fmt.Sprintf("%016x", snapGen)), slog.String("leader", f.opts.Leader))
+	return nil
+}
+
+// discardLocalExcept removes every shipped segment and every snapshot
+// but the one at keep. A follower seeding itself from the leader starts
+// that snapshot's segment over from its header, and persistChunk
+// appends to a segment file it finds: one left behind from before would
+// hold its records twice, and the next restart would replay both copies.
+func (f *Follower) discardLocalExcept(keep uint64) error {
+	segs, err := persist.ListSegments(f.opts.Dir)
+	if err != nil {
+		return err
+	}
+	for _, g := range segs {
+		if err := os.Remove(persist.WALPath(f.opts.Dir, g)); err != nil {
+			return err
+		}
+	}
+	snaps, err := persist.ListSnapshots(f.opts.Dir)
+	if err != nil {
+		return err
+	}
+	for _, g := range snaps {
+		if g == keep {
+			continue
+		}
+		if err := os.Remove(persist.SnapPath(f.opts.Dir, g)); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

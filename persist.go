@@ -139,17 +139,6 @@ func (w *Warehouse) EnablePersistence(dir string, opts PersistOptions) error {
 	return nil
 }
 
-// Save writes a one-shot snapshot of the warehouse into dir, creating
-// it if needed. It works with or without persistence enabled and does
-// not start a WAL; OpenDir on the same dir restores this exact state.
-func (w *Warehouse) Save(dir string) error {
-	st, err := w.exportState()
-	if err != nil {
-		return err
-	}
-	return persist.SaveState(dir, st)
-}
-
 // Close drains a persistent warehouse: a final snapshot is written and
 // the WAL is flushed and closed. A warehouse without persistence
 // closes as a no-op. The warehouse must not be mutated afterwards.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/approxdb/congress/internal/engine"
@@ -75,7 +76,14 @@ type RemoteShard struct {
 	legTimeout time.Duration
 	retries    int
 	maxBackoff time.Duration
+	// wire counts this shard's partials replies and their body bytes by
+	// the encoding they arrived in, indexed as wireEncodings.
+	wire [len(wireEncodings)]struct{ replies, bytes atomic.Int64 }
 }
+
+// wireEncodings labels RemoteShard.wire: a shard still answering JSON
+// predates the binary frame (or something between strips Accept).
+var wireEncodings = [...]string{"json", "binary"}
 
 // Endpoint returns the shard process's base URL.
 func (rs *RemoteShard) Endpoint() string { return rs.endpoint }
@@ -155,6 +163,12 @@ func (rs *RemoteShard) EstimatePartials(ctx context.Context, table string, group
 		resp, err := rs.c.Partials(actx, req)
 		cancel()
 		if err == nil {
+			enc := 0
+			if resp.Binary {
+				enc = 1
+			}
+			rs.wire[enc].replies.Add(1)
+			rs.wire[enc].bytes.Add(resp.WireBytes)
 			return resp.Partials, nil
 		}
 		// The parent context going away is a sibling's failure or the
@@ -345,6 +359,28 @@ func (co *Coordinator) Endpoints() []string { return co.mem.Endpoints }
 
 // Shard returns the i-th remote shard (diagnostics, tests).
 func (co *Coordinator) Shard(i int) *RemoteShard { return co.shards[i] }
+
+// RenderShardMetrics writes the per-shard congress_distshard_* counters,
+// then what only HTTP legs have — partials replies and body bytes per
+// shard by wire encoding, so a shard still answering JSON in a cluster
+// that should be speaking the binary frame is visible as such and not
+// only as latency:
+//
+//	congress_distshard_leg_replies_total{shard,encoding}
+//	congress_distshard_leg_reply_bytes_total{shard,encoding}
+func (co *Coordinator) RenderShardMetrics(sb *strings.Builder) {
+	co.shardCore.RenderShardMetrics(sb)
+	for _, rs := range co.shards {
+		for e, enc := range wireEncodings {
+			fmt.Fprintf(sb, "%s_leg_replies_total{shard=\"%d\",encoding=%q} %d\n", co.telPrefix, rs.ord, enc, rs.wire[e].replies.Load())
+		}
+	}
+	for _, rs := range co.shards {
+		for e, enc := range wireEncodings {
+			fmt.Fprintf(sb, "%s_leg_reply_bytes_total{shard=\"%d\",encoding=%q} %d\n", co.telPrefix, rs.ord, enc, rs.wire[e].bytes.Load())
+		}
+	}
+}
 
 // WaitHealthy blocks until every shard process answers its health probe
 // or ctx expires; the timeout error names the shards still down.

@@ -34,6 +34,14 @@ type distCluster struct {
 // free on both sides of the differential.
 func newDistCluster(t *testing.T, shards, rows int) *distCluster {
 	t.Helper()
+	return newDistClusterBehind(t, shards, rows, nil)
+}
+
+// newDistClusterBehind is newDistCluster with every shard server's
+// handler passed through wrap (when non-nil) — the place a test stands
+// in for an older shard or a link that damages replies.
+func newDistClusterBehind(t *testing.T, shards, rows int, wrap func(shard int, h http.Handler) http.Handler) *distCluster {
+	t.Helper()
 	rel, err := tpcd.Generate(tpcd.Params{TableSize: rows, NumGroups: 27, GroupSkew: 0.86, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +68,7 @@ func newDistCluster(t *testing.T, shards, rows int) *distCluster {
 		t.Fatal(err)
 	}
 	cl := &distCluster{single: single, sw: sw}
-	cl.co, cl.shardSrvs = coordinatorOver(t, sw)
+	cl.co, cl.shardSrvs = coordinatorBehind(t, sw, wrap)
 	_, cl.c = testServer(t, Options{Coordinator: cl.co})
 	return cl
 }
@@ -69,11 +77,19 @@ func newDistCluster(t *testing.T, shards, rows int) *distCluster {
 // returns a healthy, discovered Coordinator over those endpoints.
 func coordinatorOver(t *testing.T, sw *congress.ShardedWarehouse) (*congress.Coordinator, []*httptest.Server) {
 	t.Helper()
+	return coordinatorBehind(t, sw, nil)
+}
+
+func coordinatorBehind(t *testing.T, sw *congress.ShardedWarehouse, wrap func(shard int, h http.Handler) http.Handler) (*congress.Coordinator, []*httptest.Server) {
+	t.Helper()
 	var srvs []*httptest.Server
 	urls := make([]string, sw.NumShards())
 	for i := range urls {
-		srv := New(Options{Warehouse: sw.Shard(i), Logger: quietLogger()})
-		hs := httptest.NewServer(srv.Handler())
+		h := New(Options{Warehouse: sw.Shard(i), Logger: quietLogger()}).Handler()
+		if wrap != nil {
+			h = wrap(i, h)
+		}
+		hs := httptest.NewServer(h)
 		t.Cleanup(hs.Close)
 		srvs = append(srvs, hs)
 		urls[i] = hs.URL

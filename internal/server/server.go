@@ -10,7 +10,9 @@
 //	POST /v1/exact     exact answer against the base tables
 //	POST /v1/insert    feed rows to a table and its synopsis maintainer
 //	POST /v1/estimate/partials  mergeable per-group partials (the
-//	                   distributed scatter-gather leg)
+//	                   distributed scatter-gather leg): JSON, or the
+//	                   binary frame to a caller that sends
+//	                   Accept: application/x-congress-partials
 //	POST /v1/snapshot  write a durable snapshot now (persistent servers)
 //	GET  /v1/synopses  list registered synopses (+allocation tables)
 //	GET  /v1/repl/...  replication: status always; manifest/snapshot/wal
@@ -33,6 +35,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -605,6 +608,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 // statistics, no confidence interval (the coordinator takes it once
 // after merging). Served in every mode — a coordinator can itself be a
 // leg of a higher-tier coordinator — and on followers too (read-only).
+// The reply is the binary frame iff the caller's Accept names it, which
+// coordinators do; errors are the JSON envelope either way.
 func (s *Server) handlePartials(w http.ResponseWriter, r *http.Request) {
 	var req client.PartialsRequest
 	if !decodeBody(w, r, &req) {
@@ -630,10 +635,15 @@ func (s *Server) handlePartials(w http.ResponseWriter, r *http.Request) {
 		s.writeMappedError(w, err, http.StatusBadRequest, "bad_query")
 		return
 	}
-	writeJSON(w, http.StatusOK, client.PartialsResponse{
-		Partials:  parts,
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	})
+	elapsedMS := float64(time.Since(start)) / float64(time.Millisecond)
+	if strings.Contains(r.Header.Get("Accept"), estimate.PartialsContentType) {
+		frame := estimate.EncodePartials(parts, elapsedMS)
+		w.Header().Set("Content-Type", estimate.PartialsContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+		w.Write(frame)
+		return
+	}
+	writeJSON(w, http.StatusOK, client.PartialsResponse{Partials: parts, ElapsedMS: elapsedMS})
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {

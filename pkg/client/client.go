@@ -20,6 +20,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"github.com/approxdb/congress/internal/estimate"
 )
 
 // Client talks to one congressd server. It is safe for concurrent use.
@@ -101,16 +103,12 @@ func IsOverloaded(err error) bool {
 // result cache (preferring the X-Congress-Cache header, falling back to
 // the body field for older servers).
 func (c *Client) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
-	resp, err := c.raw(ctx, http.MethodPost, "/v1/query", req)
+	resp, err := c.raw(ctx, http.MethodPost, "/v1/query", req, "")
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return nil, decodeError(resp)
-	}
 	var out QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := decodeReply(resp, &out); err != nil {
 		return nil, err
 	}
 	if h := resp.Header.Get(CacheHeader); h != "" {
@@ -142,12 +140,62 @@ func (c *Client) Insert(ctx context.Context, req InsertRequest) (*InsertResponse
 // per-group sufficient statistics — the distributed scatter-gather leg.
 // Coordinators merge partials from every shard with
 // estimate.MergePartials before taking confidence intervals once.
+//
+// It always asks for the binary frame and takes JSON when that is what
+// comes back (a shard that predates the frame ignores Accept). A frame
+// that fails its checks is an error that is not an *APIError — to a
+// coordinator, a leg that failed in transit.
 func (c *Client) Partials(ctx context.Context, req PartialsRequest) (*PartialsResponse, error) {
-	var out PartialsResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/estimate/partials", req, &out); err != nil {
+	resp, err := c.raw(ctx, http.MethodPost, "/v1/estimate/partials", req,
+		estimate.PartialsContentType+", application/json")
+	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	if resp.Header.Get("Content-Type") != estimate.PartialsContentType { // JSON: an older shard, or an error envelope
+		body := &countingBody{ReadCloser: resp.Body}
+		resp.Body = body
+		var out PartialsResponse
+		if err := decodeReply(resp, &out); err != nil {
+			return nil, err
+		}
+		out.WireBytes = body.n
+		return &out, nil
+	}
+	defer resp.Body.Close()
+	frame, err := readSized(resp)
+	if err != nil {
+		return nil, fmt.Errorf("client: reading partials frame: %w", err)
+	}
+	parts, elapsedMS, err := estimate.DecodePartials(frame)
+	if err != nil {
+		return nil, err
+	}
+	return &PartialsResponse{Partials: parts, ElapsedMS: elapsedMS, Binary: true, WireBytes: int64(len(frame))}, nil
+}
+
+// readSized reads a whole body in one ReadFull when the reply declares
+// a plausible Content-Length, and as it arrives otherwise — so a length
+// that lies costs an error, never an allocation of that size.
+func readSized(resp *http.Response) ([]byte, error) {
+	const presizeLimit = 64 << 20
+	if n := resp.ContentLength; n >= 0 && n <= presizeLimit {
+		b := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, b)
+		return b, err
+	}
+	return io.ReadAll(resp.Body)
+}
+
+// countingBody counts the bytes read through it.
+type countingBody struct {
+	io.ReadCloser
+	n int64
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.n += int64(n)
+	return n, err
 }
 
 // Synopses lists the registered synopses; withAllocation includes each
@@ -177,7 +225,7 @@ func (c *Client) Snapshot(ctx context.Context) (*SnapshotResponse, error) {
 
 // Metrics fetches the Prometheus-style text exposition.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	resp, err := c.raw(ctx, http.MethodGet, "/metrics", nil)
+	resp, err := c.raw(ctx, http.MethodGet, "/metrics", nil, "")
 	if err != nil {
 		return "", err
 	}
@@ -204,7 +252,7 @@ func (c *Client) BaseURL() string { return c.base }
 
 // Health probes /healthz; nil means the server is accepting requests.
 func (c *Client) Health(ctx context.Context) error {
-	resp, err := c.raw(ctx, http.MethodGet, "/healthz", nil)
+	resp, err := c.raw(ctx, http.MethodGet, "/healthz", nil, "")
 	if err != nil {
 		return err
 	}
@@ -218,18 +266,36 @@ func (c *Client) Health(ctx context.Context) error {
 
 // do issues one JSON request/response round trip.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	resp, err := c.raw(ctx, method, path, in)
+	resp, err := c.raw(ctx, method, path, in, "")
 	if err != nil {
 		return err
 	}
+	return decodeReply(resp, out)
+}
+
+// decodeReply consumes a JSON reply: a 2xx body decodes into out, any
+// other into an *APIError. On success it then reads the body to EOF.
+// json.Decoder stops at the end of the value, which on a chunked reply
+// leaves the terminating chunk unread, and net/http throws away a
+// connection whose body was closed short of EOF — every reply too large
+// for the server to send with a Content-Length used to cost a new TCP
+// connection.
+func decodeReply(resp *http.Response, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return decodeError(resp)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return err
+	}
+	// The value is already whole: a failed drain only costs the connection.
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return nil
 }
 
-func (c *Client) raw(ctx context.Context, method, path string, in any) (*http.Response, error) {
+// raw sends one request, retrying while the server sheds it; accept,
+// when non-empty, is the Accept header.
+func (c *Client) raw(ctx context.Context, method, path string, in any, accept string) (*http.Response, error) {
 	var payload []byte
 	if in != nil {
 		b, err := json.Marshal(in)
@@ -250,6 +316,9 @@ func (c *Client) raw(ctx context.Context, method, path string, in any) (*http.Re
 		}
 		if in != nil {
 			req.Header.Set("Content-Type", "application/json")
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {

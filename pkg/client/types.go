@@ -77,12 +77,19 @@ type PartialsRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// PartialsResponse is the body returned by /v1/estimate/partials. The
-// records are estimate.GroupPartial in its wire encoding (non-finite
-// floats travel as the strings "+Inf"/"-Inf"/"NaN").
+// PartialsResponse is the body returned by /v1/estimate/partials, as
+// JSON (the records are estimate.GroupPartial in its JSON encoding:
+// non-finite floats travel as the strings "+Inf"/"-Inf"/"NaN") or, to a
+// caller whose Accept lists estimate.PartialsContentType, as the binary
+// frame of estimate.EncodePartials carrying the same two fields.
 type PartialsResponse struct {
 	Partials  []estimate.GroupPartial `json:"partials"`
 	ElapsedMS float64                 `json:"elapsed_ms"`
+	// Binary and WireBytes are filled in by Client.Partials and never
+	// sent: whether the reply came as the binary frame, and its body
+	// length either way.
+	Binary    bool  `json:"-"`
+	WireBytes int64 `json:"-"`
 }
 
 // ExactRequest is the body of POST /v1/exact.

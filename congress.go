@@ -547,11 +547,6 @@ func (w *Warehouse) Approx(sql string) (*Result, error) {
 	return w.aq.Answer(sql)
 }
 
-// ApproxCtx is Approx under a context (see QueryCtx).
-func (w *Warehouse) ApproxCtx(ctx context.Context, sql string) (*Result, error) {
-	return w.aq.AnswerCtx(ctx, sql)
-}
-
 // ApproxQuery is the full cached read path: the query is parsed and
 // rewritten through the plan cache and answered through the result cache
 // (unless disabled or opts.NoCache), reporting whether the answer was a
@@ -569,11 +564,6 @@ func (w *Warehouse) ApproxQuery(ctx context.Context, sql string, opts ApproxOpti
 // ApproxWith answers approximately using an explicit rewrite strategy.
 func (w *Warehouse) ApproxWith(sql string, strat RewriteStrategy) (*Result, error) {
 	return w.aq.AnswerWith(sql, strat)
-}
-
-// ApproxWithCtx is ApproxWith under a context (see QueryCtx).
-func (w *Warehouse) ApproxWithCtx(ctx context.Context, sql string, strat RewriteStrategy) (*Result, error) {
-	return w.aq.AnswerWithCtx(ctx, sql, strat)
 }
 
 // Explain returns the rewritten SQL a strategy would execute, without

@@ -648,26 +648,14 @@ func (a *Aqua) Refresh(table string) error {
 // Answer rewrites the query with the synopsis's default strategy and
 // executes it, returning the approximate answer.
 func (a *Aqua) Answer(query string) (*engine.Result, error) {
-	return a.AnswerCtx(context.Background(), query)
-}
-
-// AnswerCtx is Answer under a context: the deadline or cancellation is
-// observed inside the rewritten query's row-scan loops, so an abandoned
-// request stops scanning promptly.
-func (a *Aqua) AnswerCtx(ctx context.Context, query string) (*engine.Result, error) {
-	res, _, err := a.AnswerQuery(ctx, query, QueryOptions{})
+	res, _, err := a.AnswerQuery(context.Background(), query, QueryOptions{})
 	return res, err
 }
 
 // AnswerWith answers using an explicit rewriting strategy (used by the
 // Section 7.3 rewriting experiments).
 func (a *Aqua) AnswerWith(query string, strat rewrite.Strategy) (*engine.Result, error) {
-	return a.AnswerWithCtx(context.Background(), query, strat)
-}
-
-// AnswerWithCtx is AnswerWith under a context (see AnswerCtx).
-func (a *Aqua) AnswerWithCtx(ctx context.Context, query string, strat rewrite.Strategy) (*engine.Result, error) {
-	res, _, err := a.AnswerQuery(ctx, query, QueryOptions{Strategy: strat, UseStrategy: true})
+	res, _, err := a.AnswerQuery(context.Background(), query, QueryOptions{Strategy: strat, UseStrategy: true})
 	return res, err
 }
 

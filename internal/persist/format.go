@@ -14,7 +14,8 @@
 // invariant: the snapshot of generation S captures every record in WAL
 // segments of generation < S. Recovery therefore loads the newest valid
 // snapshot S and replays segments >= S in ascending order; a torn tail
-// in the final segment is truncated at the first bad checksum.
+// is truncated at the first bad checksum, and every later segment is
+// deleted.
 package persist
 
 import (

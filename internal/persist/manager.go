@@ -39,9 +39,6 @@ func (o Options) withDefaults() Options {
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 100000
 	}
-	if o.KeepSnapshots <= 0 {
-		o.KeepSnapshots = 2
-	}
 	return o
 }
 
@@ -276,33 +273,75 @@ func (m *Manager) writeSnapshot(gen uint64, st *State, start time.Time) error {
 	return nil
 }
 
-// prune deletes snapshots beyond the retention bound and WAL segments
-// older than the oldest retained snapshot.
+// prune applies the retention rule and forgets the deleted segments.
 func (m *Manager) prune() {
-	snaps, err := listGens(m.dir, "snap-")
+	removed := Prune(m.dir, m.opts.KeepSnapshots)
+	m.mu.Lock()
+	for _, gen := range removed {
+		delete(m.closedSegs, gen)
+	}
+	m.mu.Unlock()
+}
+
+// Prune is the retention rule for a data directory, a leader's or a
+// follower's: all but the newest keep snapshots are deleted (keep < 1
+// means 2, the Options default), and so is every WAL segment older than
+// the oldest snapshot kept. It returns the generations of the segments
+// it deleted. Failures are left for the next call — a file that outlives
+// its turn is harmless.
+func Prune(dir string, keep int) (removed []uint64) {
+	if keep < 1 {
+		keep = 2
+	}
+	snaps, err := listGens(dir, "snap-")
 	if err != nil || len(snaps) == 0 {
-		return
+		return nil
 	}
-	keepFrom := 0
-	if len(snaps) > m.opts.KeepSnapshots {
-		keepFrom = len(snaps) - m.opts.KeepSnapshots
-	}
+	keepFrom := max(len(snaps)-keep, 0)
 	for _, gen := range snaps[:keepFrom] {
-		os.Remove(SnapPath(m.dir, gen))
+		os.Remove(SnapPath(dir, gen))
 	}
-	oldestKept := snaps[keepFrom]
-	wals, err := listGens(m.dir, "wal-")
+	wals, err := listGens(dir, "wal-")
 	if err != nil {
-		return
+		return nil
 	}
 	for _, gen := range wals {
-		if gen < oldestKept {
-			os.Remove(WALPath(m.dir, gen))
-			m.mu.Lock()
-			delete(m.closedSegs, gen)
-			m.mu.Unlock()
+		if gen < snaps[keepFrom] {
+			os.Remove(WALPath(dir, gen))
+			removed = append(removed, gen)
 		}
 	}
+	return removed
+}
+
+// Reseed makes snapshot gen the whole of dir's history, deleting every
+// WAL segment and every other snapshot. A follower seeding itself from a
+// shipped snapshot restarts that snapshot's segment from its header and
+// appends to any segment file it finds: one left from before would hold
+// its records twice, and the next Recover would replay both copies.
+func Reseed(dir string, gen uint64) error {
+	segs, err := listGens(dir, "wal-")
+	if err != nil {
+		return err
+	}
+	for _, g := range segs {
+		if err := os.Remove(WALPath(dir, g)); err != nil {
+			return err
+		}
+	}
+	snaps, err := listGens(dir, "snap-")
+	if err != nil {
+		return err
+	}
+	for _, g := range snaps {
+		if g == gen {
+			continue
+		}
+		if err := os.Remove(SnapPath(dir, g)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // snapshotLoop runs background snapshots on the insert-count trigger

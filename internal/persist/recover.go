@@ -16,24 +16,30 @@ type RecoveryInfo struct {
 	SkippedSnapshots int
 	// Records is the WAL suffix to replay, in log order.
 	Records []*Record
-	// TruncatedBytes is how many torn-tail bytes were cut from the final
-	// replayed segment.
+	// Tail is where the replayed log ends: the last replayed segment's
+	// generation, intact length and record count (the snapshot's
+	// generation with no records when no segment was replayed). A
+	// replication follower resumes shipping there.
+	Tail SegmentInfo
+	// TruncatedBytes is how many torn-tail bytes were cut from the tail
+	// segment.
 	TruncatedBytes int64
-	// SkippedSegments counts WAL segments ignored because an earlier
+	// DeletedSegments counts WAL segments removed because an earlier
 	// segment ended in corruption (records past a tear are unordered
-	// with respect to the lost ones, so replay must stop).
-	SkippedSegments int
-	// MaxGen is the highest generation seen in the directory; the next
-	// Manager starts above it.
+	// with respect to the lost ones, so replay must stop there).
+	DeletedSegments int
+	// MaxGen is the highest generation seen in the directory, counted
+	// before any segment was deleted.
 	MaxGen uint64
 }
 
 // Recover scans a data directory: it loads the newest valid snapshot,
 // then decodes every WAL segment of generation >= the snapshot's,
-// truncating a torn tail at the first bad frame. A missing or empty
-// directory recovers to an empty RecoveryInfo. Recover does not apply
-// anything — the caller replays Records through its normal mutation
-// paths.
+// truncating a torn tail at the first bad frame and deleting every later
+// segment. A missing or empty directory recovers to an empty
+// RecoveryInfo. Recover does not apply anything — the caller (a
+// restarting leader or a replication follower) replays Records through
+// its normal mutation paths.
 func Recover(dir string) (*RecoveryInfo, error) {
 	info := &RecoveryInfo{}
 	if _, err := os.Stat(dir); os.IsNotExist(err) {
@@ -60,16 +66,12 @@ func Recover(dir string) (*RecoveryInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	torn := false
-	for _, gen := range wals {
+	info.Tail = SegmentInfo{Gen: snapGen, Size: SegmentHeaderSize}
+	for i, gen := range wals {
 		if gen < snapGen {
 			continue // compacted into the snapshot
 		}
-		if torn {
-			info.SkippedSegments++
-			continue
-		}
-		_, truncated, err := ReadWAL(WALPath(dir, gen), func(payload []byte) error {
+		tail, truncated, err := replayWAL(WALPath(dir, gen), func(payload []byte) error {
 			rec, derr := DecodeRecord(payload)
 			if derr != nil {
 				// A frame that passes its checksum but fails to decode
@@ -82,11 +84,22 @@ func Recover(dir string) (*RecoveryInfo, error) {
 		if err != nil {
 			return nil, fmt.Errorf("persist: recovering %s: %w", WALPath(dir, gen), err)
 		}
+		tail.Gen = gen
+		info.Tail = tail
 		if truncated > 0 {
-			info.TruncatedBytes += truncated
+			info.TruncatedBytes = truncated
 			// Records past a tear were logged after records that are now
-			// lost; replaying later segments would reorder history.
-			torn = true
+			// lost; replaying later segments would reorder history. They
+			// are deleted, not skipped: once the tear is truncated away
+			// nothing else marks them, and a second Recover would splice
+			// them in.
+			for _, later := range wals[i+1:] {
+				if err := os.Remove(WALPath(dir, later)); err != nil {
+					return nil, err
+				}
+				info.DeletedSegments++
+			}
+			break
 		}
 	}
 	return info, nil

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,13 +25,16 @@ import (
 //	N  bytes  gob-encoded State
 //	4  bytes  CRC32C of the payload
 //
-// The file is written to a dot-prefixed temp name, fsynced, and
-// atomically renamed into place, so a crash mid-write can never leave a
-// half-written file under a snap-* name.
+// Every snapshot file, written here or shipped by a replication leader,
+// is installed the same way: written to a dot-prefixed temp name,
+// fsynced, verified, atomically renamed into place and made durable by a
+// directory fsync, so a crash mid-write can never leave a half-written
+// file under a snap-* name.
 
 const (
-	snapMagic   = "CGRSNP01"
-	snapVersion = 1
+	snapMagic      = "CGRSNP01"
+	snapVersion    = 1
+	snapHeaderSize = len(snapMagic) + 4 + 8
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -89,50 +93,77 @@ func listGens(dir, prefix string) ([]uint64, error) {
 }
 
 // WriteSnapshot writes the state as snapshot generation gen, returning
-// the file size. The write is atomic: a temp file is fully written and
-// fsynced before being renamed to the final name, and the directory is
-// fsynced after the rename.
+// the file size.
 func WriteSnapshot(dir string, gen uint64, st *State) (int64, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
+	var buf bytes.Buffer
+	buf.Write(make([]byte, snapHeaderSize))
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		return 0, fmt.Errorf("persist: encoding snapshot: %w", err)
 	}
+	file := buf.Bytes()
+	payload := file[snapHeaderSize:]
+	copy(file, snapMagic)
+	binary.LittleEndian.PutUint32(file[len(snapMagic):], snapVersion)
+	binary.LittleEndian.PutUint64(file[len(snapMagic)+4:], uint64(len(payload)))
+	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(payload, castagnoli))
+	err := installSnapshot(dir, gen, bytes.NewReader(file), func(raw []byte) error {
+		_, err := snapshotPayload(raw)
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	return int64(len(file)), nil
+}
 
-	header := make([]byte, 0, 20)
-	header = append(header, snapMagic...)
-	header = binary.LittleEndian.AppendUint32(header, snapVersion)
-	header = binary.LittleEndian.AppendUint64(header, uint64(payload.Len()))
-	trailer := binary.LittleEndian.AppendUint32(nil, crc32.Checksum(payload.Bytes(), castagnoli))
+// InstallSnapshot streams a snapshot file from r into dir as generation
+// gen, installing it only once it verifies and decodes, and returns the
+// decoded state. Replication followers install shipped snapshots with it.
+func InstallSnapshot(dir string, gen uint64, r io.Reader) (*State, error) {
+	var st *State
+	err := installSnapshot(dir, gen, r, func(raw []byte) (err error) {
+		st, err = decodeSnapshot(raw)
+		return err
+	})
+	return st, err
+}
 
+// installSnapshot copies r into a temp file, fsyncs it, reads it back
+// through verify, renames it to generation gen's name and fsyncs the
+// directory so the rename is durable too.
+func installSnapshot(dir string, gen uint64, r io.Reader, verify func(raw []byte) error) error {
 	final := SnapPath(dir, gen)
 	tmp := filepath.Join(dir, "."+filepath.Base(final)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	cleanup := func(err error) (int64, error) {
+	fail := func(err error) error {
 		f.Close()
 		os.Remove(tmp)
-		return 0, err
+		return fmt.Errorf("persist: installing snapshot %s: %w", final, err)
 	}
-	for _, chunk := range [][]byte{header, payload.Bytes(), trailer} {
-		if _, err := f.Write(chunk); err != nil {
-			return cleanup(fmt.Errorf("persist: writing snapshot: %w", err))
-		}
+	if _, err := io.Copy(f, r); err != nil {
+		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
-		return cleanup(fmt.Errorf("persist: syncing snapshot: %w", err))
+		return fail(err)
 	}
-	size := int64(len(header) + payload.Len() + len(trailer))
 	if err := f.Close(); err != nil {
-		return cleanup(err)
+		return fail(err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return 0, err
+	raw, err := os.ReadFile(tmp)
+	if err == nil {
+		err = verify(raw)
+	}
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
+		return fail(err)
 	}
 	syncDir(dir)
-	return size, nil
+	return nil
 }
 
 // syncDir fsyncs a directory so a rename is durable; errors are ignored
@@ -151,31 +182,47 @@ func ReadSnapshot(path string) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < len(snapMagic)+12+4 {
-		return nil, fmt.Errorf("persist: snapshot %s too short (%d bytes)", path, len(raw))
+	st, err := decodeSnapshot(raw)
+	if err != nil {
+		return nil, fmt.Errorf("persist: snapshot %s: %w", path, err)
 	}
-	if string(raw[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("persist: snapshot %s has bad magic", path)
-	}
-	raw = raw[len(snapMagic):]
-	version := binary.LittleEndian.Uint32(raw)
-	if version != snapVersion {
-		return nil, fmt.Errorf("persist: snapshot %s has unsupported version %d", path, version)
-	}
-	n := binary.LittleEndian.Uint64(raw[4:])
-	raw = raw[12:]
-	if uint64(len(raw)) != n+4 {
-		return nil, fmt.Errorf("persist: snapshot %s payload length %d disagrees with file size", path, n)
-	}
-	payload, trailer := raw[:n], raw[n:]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("persist: snapshot %s fails checksum", path)
+	return st, nil
+}
+
+// decodeSnapshot verifies a snapshot file's bytes and decodes its state.
+func decodeSnapshot(raw []byte) (*State, error) {
+	payload, err := snapshotPayload(raw)
+	if err != nil {
+		return nil, err
 	}
 	st := &State{}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(st); err != nil {
-		return nil, fmt.Errorf("persist: decoding snapshot %s: %w", path, err)
+		return nil, fmt.Errorf("decoding: %w", err)
 	}
 	return st, nil
+}
+
+// snapshotPayload checks a snapshot file's framing — magic, version,
+// length and checksum — and returns its gob payload.
+func snapshotPayload(raw []byte) ([]byte, error) {
+	if len(raw) < snapHeaderSize+4 {
+		return nil, fmt.Errorf("too short (%d bytes)", len(raw))
+	}
+	if string(raw[:len(snapMagic)]) != snapMagic {
+		return nil, fmt.Errorf("bad magic")
+	}
+	if version := binary.LittleEndian.Uint32(raw[len(snapMagic):]); version != snapVersion {
+		return nil, fmt.Errorf("unsupported version %d", version)
+	}
+	n := binary.LittleEndian.Uint64(raw[len(snapMagic)+4:])
+	payload, trailer := raw[snapHeaderSize:len(raw)-4], raw[len(raw)-4:]
+	if uint64(len(payload)) != n {
+		return nil, fmt.Errorf("payload length %d disagrees with file size", n)
+	}
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(trailer) {
+		return nil, fmt.Errorf("fails checksum")
+	}
+	return payload, nil
 }
 
 // LoadNewestSnapshot finds the newest readable, checksum-valid snapshot

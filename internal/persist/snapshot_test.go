@@ -174,7 +174,7 @@ func TestManagerLogRotatePruneRecover(t *testing.T) {
 	if len(info.Records) != 0 {
 		t.Fatalf("replaying %d records after a clean close, want 0", len(info.Records))
 	}
-	if info.TruncatedBytes != 0 || info.SkippedSegments != 0 {
+	if info.TruncatedBytes != 0 || info.DeletedSegments != 0 {
 		t.Fatalf("clean dir reported truncation: %+v", info)
 	}
 
@@ -236,7 +236,8 @@ func TestRecoverStopsAtTornEarlierSegment(t *testing.T) {
 	dir := t.TempDir()
 	// Segment 1: two intact records then a torn tail. Segment 2: intact.
 	// Replay must stop at the tear — records in segment 2 were logged
-	// after the lost ones.
+	// after the lost ones — and keep stopping there on every later
+	// recovery, after the tear itself has been truncated away.
 	mkSeg := func(gen uint64, vals []int64) string {
 		t.Helper()
 		w, err := CreateWAL(WALPath(dir, gen), SyncNone, 0, nil)
@@ -244,8 +245,7 @@ func TestRecoverStopsAtTornEarlierSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range vals {
-			payload, _ := EncodeRecord(&Record{Kind: RecInsert, Table: "t", Row: engine.Row{engine.NewInt(v)}})
-			if _, err := w.Append(payload); err != nil {
+			if _, err := w.Append(mustEncode(t, v)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -261,19 +261,34 @@ func TestRecoverStopsAtTornEarlierSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	info, err := Recover(dir)
+	intact := fi.Size() - (8 + int64(len(mustEncode(t, 3))))
+	for round, deleted := range []int{1, 0} {
+		info, err := Recover(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(info.Records) != 2 {
+			t.Fatalf("recovery %d replayed %d records, want 2 (stop at the tear)", round+1, len(info.Records))
+		}
+		if (info.TruncatedBytes > 0) != (round == 0) {
+			t.Fatalf("recovery %d truncated %d bytes", round+1, info.TruncatedBytes)
+		}
+		if info.DeletedSegments != deleted {
+			t.Fatalf("recovery %d deleted %d segments, want %d", round+1, info.DeletedSegments, deleted)
+		}
+		if want := (SegmentInfo{Gen: 1, Size: intact, Records: 2}); info.Tail != want {
+			t.Fatalf("recovery %d tail %+v, want %+v", round+1, info.Tail, want)
+		}
+	}
+}
+
+func mustEncode(t *testing.T, v int64) []byte {
+	t.Helper()
+	payload, err := EncodeRecord(&Record{Kind: RecInsert, Table: "t", Row: engine.Row{engine.NewInt(v)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(info.Records) != 2 {
-		t.Fatalf("replayed %d records, want 2 (stop at the tear)", len(info.Records))
-	}
-	if info.TruncatedBytes == 0 {
-		t.Fatal("no truncation reported")
-	}
-	if info.SkippedSegments != 1 {
-		t.Fatalf("skipped %d segments, want 1", info.SkippedSegments)
-	}
+	return payload
 }
 
 func TestRecoverMissingDir(t *testing.T) {

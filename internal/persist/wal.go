@@ -18,14 +18,17 @@ import (
 //	4 bytes  CRC32C of the payload
 //	N bytes  payload
 //
-// Appends issue one write(2) per record, so after a process crash the
-// OS page cache holds every acknowledged record; fsync policy only
-// changes exposure to machine crashes. Recovery truncates the segment
-// at the first frame whose header is short or whose checksum fails —
-// the torn tail of an append cut off mid-write.
+// appendFrame is the one writer of that layout and ReadFrames its one
+// reader: recovery, ScanWAL and both ends of replication walk frames
+// through it. Appends issue one write(2) per record, so after a process
+// crash the OS page cache holds every acknowledged record; fsync policy
+// only changes exposure to machine crashes. Recovery truncates the
+// segment at the first frame whose header is short or whose checksum
+// fails — the torn tail of an append cut off mid-write.
 
 const (
-	walMagic = "CGRWAL01"
+	walMagic        = "CGRWAL01"
+	frameHeaderSize = 8
 	// maxRecordBytes bounds one record; a longer length header is
 	// treated as corruption rather than an allocation request.
 	maxRecordBytes = 1 << 30
@@ -37,8 +40,9 @@ const SegmentHeaderSize = int64(len(walMagic))
 
 // CreateSegmentFile creates an empty WAL segment file at path (which
 // must not exist) containing just the magic header, open for appends.
-// Replication followers use it to persist shipped segments without a
-// WAL's sync machinery — the caller owns framing and fsync policy.
+// CreateWAL starts every segment with it, and replication followers use
+// it to persist shipped segments without a WAL's sync machinery — the
+// caller owns framing and fsync policy.
 func CreateSegmentFile(path string) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -123,13 +127,8 @@ type WAL struct {
 // starts the background syncer its mode needs. interval applies to
 // SyncInterval (0 means 50ms).
 func CreateWAL(path string, mode SyncMode, interval time.Duration, tel *metrics.Telemetry) (*WAL, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := CreateSegmentFile(path)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Write([]byte(walMagic)); err != nil {
-		f.Close()
-		os.Remove(path)
 		return nil, err
 	}
 	if interval <= 0 {
@@ -165,10 +164,7 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
-	w.scratch = w.scratch[:0]
-	w.scratch = binary.LittleEndian.AppendUint32(w.scratch, uint32(len(payload)))
-	w.scratch = binary.LittleEndian.AppendUint32(w.scratch, crc32.Checksum(payload, castagnoli))
-	w.scratch = append(w.scratch, payload...)
+	w.scratch = appendFrame(w.scratch[:0], payload)
 	if _, err := w.f.Write(w.scratch); err != nil {
 		w.err = fmt.Errorf("persist: WAL append: %w", err)
 		w.syncAck.Broadcast()
@@ -380,36 +376,64 @@ func (w *WAL) Close() error {
 	return err
 }
 
+// appendFrame appends payload to dst as one WAL frame.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...)
+}
+
+// ReadFrames walks the WAL frames at the start of buf, calling fn (when
+// non-nil) with each intact payload in order; payloads alias buf. It
+// stops at the first frame that is cut short, claims more than
+// maxRecordBytes, or fails its checksum, and returns how many frames it
+// accepted and the byte length of that intact prefix. An error from fn
+// ends the walk before its frame is counted.
+func ReadFrames(buf []byte, fn func(payload []byte) error) (records, intact int, err error) {
+	for len(buf)-intact >= frameHeaderSize {
+		n := binary.LittleEndian.Uint32(buf[intact:])
+		if n > maxRecordBytes || int(n) > len(buf)-intact-frameHeaderSize {
+			break
+		}
+		payload := buf[intact+frameHeaderSize : intact+frameHeaderSize+int(n)]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[intact+4:]) {
+			break
+		}
+		if fn != nil {
+			if err := fn(payload); err != nil {
+				return records, intact, err
+			}
+		}
+		records++
+		intact += frameHeaderSize + int(n)
+	}
+	return records, intact, nil
+}
+
+// readSegment reads a whole segment file and checks its magic header.
+func readSegment(path string) ([]byte, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(raw) < len(walMagic) || string(raw[:len(walMagic)]) != walMagic {
+		return nil, fmt.Errorf("persist: %s is not a WAL segment", path)
+	}
+	return raw, nil
+}
+
 // ScanWAL walks a segment's frames without decoding or mutating it,
 // returning the number of intact records and the byte offset of the last
 // intact frame boundary (the segment's replication-safe length). Unlike
 // ReadWAL it never truncates: a torn tail is simply excluded from the
 // reported size. Replication uses it to describe closed segments.
 func ScanWAL(path string) (records int64, size int64, err error) {
-	raw, err := os.ReadFile(path)
+	raw, err := readSegment(path)
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(raw) < len(walMagic) || string(raw[:len(walMagic)]) != walMagic {
-		return 0, 0, fmt.Errorf("persist: %s is not a WAL segment", path)
-	}
-	off := len(walMagic)
-	for {
-		if len(raw)-off < 8 {
-			break
-		}
-		n := binary.LittleEndian.Uint32(raw[off:])
-		crc := binary.LittleEndian.Uint32(raw[off+4:])
-		if n > maxRecordBytes || int(n) > len(raw)-off-8 {
-			break
-		}
-		if crc32.Checksum(raw[off+8:off+8+int(n)], castagnoli) != crc {
-			break
-		}
-		records++
-		off += 8 + int(n)
-	}
-	return records, int64(off), nil
+	n, intact, _ := ReadFrames(raw[len(walMagic):], nil)
+	return int64(n), SegmentHeaderSize + int64(intact), nil
 }
 
 // ReadWAL scans a segment, calling fn for each intact record payload in
@@ -419,39 +443,25 @@ func ScanWAL(path string) (records int64, size int64, err error) {
 // crash mid-append, not an error. fn's payload slice is only valid for
 // the duration of the call.
 func ReadWAL(path string, fn func(payload []byte) error) (records int, truncated int64, err error) {
-	raw, err := os.ReadFile(path)
+	seg, truncated, err := replayWAL(path, fn)
+	return int(seg.Records), truncated, err
+}
+
+// replayWAL is ReadWAL reporting the segment's intact length and record
+// count (Gen is left for the caller).
+func replayWAL(path string, fn func(payload []byte) error) (seg SegmentInfo, truncated int64, err error) {
+	raw, err := readSegment(path)
 	if err != nil {
-		return 0, 0, err
+		return seg, 0, err
 	}
-	if len(raw) < len(walMagic) || string(raw[:len(walMagic)]) != walMagic {
-		return 0, 0, fmt.Errorf("persist: %s is not a WAL segment", path)
+	records, intact, err := ReadFrames(raw[len(walMagic):], fn)
+	seg = SegmentInfo{Size: SegmentHeaderSize + int64(intact), Records: int64(records)}
+	if err != nil || seg.Size == int64(len(raw)) {
+		return seg, 0, err
 	}
-	off := len(walMagic)
-	for {
-		if off == len(raw) {
-			return records, 0, nil // clean end
-		}
-		if len(raw)-off < 8 {
-			break // torn frame header
-		}
-		n := binary.LittleEndian.Uint32(raw[off:])
-		crc := binary.LittleEndian.Uint32(raw[off+4:])
-		if n > maxRecordBytes || int(n) > len(raw)-off-8 {
-			break // torn or corrupt payload
-		}
-		payload := raw[off+8 : off+8+int(n)]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			break // bit flip or torn write inside the frame
-		}
-		if err := fn(payload); err != nil {
-			return records, 0, err
-		}
-		records++
-		off += 8 + int(n)
+	cut := int64(len(raw)) - seg.Size
+	if terr := os.Truncate(path, seg.Size); terr != nil {
+		return seg, cut, fmt.Errorf("persist: truncating torn WAL tail of %s: %w", path, terr)
 	}
-	cut := int64(len(raw) - off)
-	if terr := os.Truncate(path, int64(off)); terr != nil {
-		return records, cut, fmt.Errorf("persist: truncating torn WAL tail of %s: %w", path, terr)
-	}
-	return records, cut, nil
+	return seg, cut, nil
 }

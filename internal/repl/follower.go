@@ -2,16 +2,15 @@ package repl
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,9 +51,6 @@ type FollowerOptions struct {
 	// BootstrapTimeout bounds how long Start retries a transiently
 	// unreachable leader before giving up. Default 30s.
 	BootstrapTimeout time.Duration
-	// KeepSnapshots is how many local snapshot generations to retain
-	// when compacting at rotation. Default 2.
-	KeepSnapshots int
 	// HTTPClient defaults to a client without a global timeout
 	// (per-request contexts bound each call).
 	HTTPClient *http.Client
@@ -88,9 +84,6 @@ func (o *FollowerOptions) withDefaults() error {
 	}
 	if o.BootstrapTimeout <= 0 {
 		o.BootstrapTimeout = 30 * time.Second
-	}
-	if o.KeepSnapshots <= 0 {
-		o.KeepSnapshots = 2
 	}
 	if o.HTTPClient == nil {
 		o.HTTPClient = &http.Client{}
@@ -232,63 +225,36 @@ func (f *Follower) Close() {
 	f.mu.Unlock()
 }
 
-// bootstrapLocal resumes from the follower's own directory: newest
-// valid local snapshot plus replay of the local segments it does not
-// cover. Reports false when the directory holds no usable snapshot.
+// bootstrapLocal resumes from the follower's own directory exactly as a
+// leader restarts from its own — persist.Recover, then restore and
+// replay — and tails from the end of what was replayed. Reports false
+// when the directory holds no usable snapshot.
 func (f *Follower) bootstrapLocal() (bool, error) {
-	st, snapGen, _, err := persist.LoadNewestSnapshot(f.opts.Dir)
-	if err != nil || st == nil {
+	info, err := persist.Recover(f.opts.Dir)
+	if err != nil || info.Snapshot == nil {
 		return false, err
 	}
-	if err := f.opts.Target.RestoreSnapshot(st); err != nil {
-		return false, fmt.Errorf("repl: restoring local snapshot %016x: %w", snapGen, err)
+	if err := f.opts.Target.RestoreSnapshot(info.Snapshot); err != nil {
+		return false, fmt.Errorf("repl: restoring local snapshot %016x: %w", info.SnapshotGen, err)
 	}
-	segs, err := persist.ListSegments(f.opts.Dir)
-	if err != nil {
-		return false, err
+	for _, rec := range info.Records {
+		if err := f.opts.Target.ApplyRecord(rec); err != nil {
+			return false, fmt.Errorf("repl: replaying local segments: %w", err)
+		}
 	}
-	gen, offset, segRecords := snapGen, persist.SegmentHeaderSize, int64(0)
-	for i, g := range segs {
-		if g < snapGen {
-			continue
-		}
-		path := persist.WALPath(f.opts.Dir, g)
-		records, truncated, err := persist.ReadWAL(path, func(payload []byte) error {
-			rec, derr := persist.DecodeRecord(payload)
-			if derr != nil {
-				return derr
-			}
-			return f.opts.Target.ApplyRecord(rec)
-		})
-		if err != nil {
-			return false, fmt.Errorf("repl: replaying local segment %016x: %w", g, err)
-		}
-		info, err := os.Stat(path)
-		if err != nil {
-			return false, err
-		}
-		gen, offset, segRecords = g, info.Size(), int64(records)
-		f.recordsApplied.Add(int64(records))
-		if truncated > 0 {
-			f.log.Warn("truncated torn local segment tail",
-				slog.String("segment", fmt.Sprintf("%016x", g)), slog.Int64("bytes", truncated))
-			// Later segments were logged after the records just cut;
-			// replaying them would skip history. Resume here and let the
-			// leader re-ship the rest.
-			for _, later := range segs[i+1:] {
-				if err := os.Remove(persist.WALPath(f.opts.Dir, later)); err != nil {
-					return false, err
-				}
-			}
-			break
-		}
+	f.recordsApplied.Add(int64(len(info.Records)))
+	tail := info.Tail
+	if info.TruncatedBytes > 0 {
+		// The leader re-ships what the tear cut, and every segment after it.
+		f.log.Warn("truncated torn local segment tail",
+			slog.String("segment", fmt.Sprintf("%016x", tail.Gen)), slog.Int64("bytes", info.TruncatedBytes))
 	}
 	f.mu.Lock()
-	f.gen, f.offset, f.segRecords = gen, offset, segRecords
+	f.gen, f.offset, f.segRecords = tail.Gen, tail.Size, tail.Records
 	f.lastCaughtUp = time.Now()
 	f.mu.Unlock()
 	f.log.Info("resumed from local disk",
-		slog.String("segment", fmt.Sprintf("%016x", gen)), slog.Int64("offset", offset))
+		slog.String("segment", fmt.Sprintf("%016x", tail.Gen)), slog.Int64("offset", tail.Size))
 	return true, nil
 }
 
@@ -329,7 +295,7 @@ func (f *Follower) tryBootstrapRemote() error {
 	if err != nil {
 		return err
 	}
-	if err := f.discardLocalExcept(snapGen); err != nil {
+	if err := persist.Reseed(f.opts.Dir, snapGen); err != nil {
 		return err
 	}
 	if err := f.opts.Target.RestoreSnapshot(st); err != nil {
@@ -342,36 +308,6 @@ func (f *Follower) tryBootstrapRemote() error {
 	f.mu.Unlock()
 	f.log.Info("bootstrapped from leader snapshot",
 		slog.String("snapshot", fmt.Sprintf("%016x", snapGen)), slog.String("leader", f.opts.Leader))
-	return nil
-}
-
-// discardLocalExcept removes every shipped segment and every snapshot
-// but the one at keep. A follower seeding itself from the leader starts
-// that snapshot's segment over from its header, and persistChunk
-// appends to a segment file it finds: one left behind from before would
-// hold its records twice, and the next restart would replay both copies.
-func (f *Follower) discardLocalExcept(keep uint64) error {
-	segs, err := persist.ListSegments(f.opts.Dir)
-	if err != nil {
-		return err
-	}
-	for _, g := range segs {
-		if err := os.Remove(persist.WALPath(f.opts.Dir, g)); err != nil {
-			return err
-		}
-	}
-	snaps, err := persist.ListSnapshots(f.opts.Dir)
-	if err != nil {
-		return err
-	}
-	for _, g := range snaps {
-		if g == keep {
-			continue
-		}
-		if err := os.Remove(persist.SnapPath(f.opts.Dir, g)); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -421,7 +357,7 @@ func (f *Follower) rebootstrap(oldGen uint64) error {
 	f.gen, f.offset, f.segRecords = snapGen, persist.SegmentHeaderSize, 0
 	f.mu.Unlock()
 	f.noteManifest(mf, snapGen)
-	f.compact(mf, snapGen)
+	persist.Prune(f.opts.Dir, 0)
 	f.log.Warn("re-bootstrapped from leader snapshot after pruned generation",
 		slog.String("pruned_after", fmt.Sprintf("%016x", oldGen)),
 		slog.String("snapshot", fmt.Sprintf("%016x", snapGen)))
@@ -517,13 +453,18 @@ func (f *Follower) poll() error {
 	}
 
 	if len(body) > 0 {
-		payloads, verr := verifyFrames(body)
-		if verr != nil {
+		var payloads [][]byte
+		_, intact, _ := persist.ReadFrames(body, func(p []byte) error {
+			payloads = append(payloads, p)
+			return nil
+		})
+		if intact != len(body) {
 			// A corrupt chunk (bit flip in transit or on the leader's
 			// disk) is dropped whole before anything touches the local
 			// WAL, then re-requested from the last verified offset.
 			f.chunksRejected.Add(1)
-			return fmt.Errorf("repl: rejected chunk for segment %016x at %d: %w", gen, offset, verr)
+			return fmt.Errorf("repl: rejected chunk for segment %016x at %d: %d of its %d bytes are intact frames",
+				gen, offset, intact, len(body))
 		}
 		if err := f.persistChunk(gen, offset, body); err != nil {
 			return err
@@ -575,33 +516,6 @@ func (f *Follower) poll() error {
 // small enough that a misbehaving peer cannot exhaust memory.
 const maxChunkBody = 64 << 20
 
-var followCastagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// verifyFrames checks that buf is a whole number of intact WAL frames
-// and returns their payloads (aliasing buf). Any framing or checksum
-// violation rejects the entire chunk.
-func verifyFrames(buf []byte) ([][]byte, error) {
-	var payloads [][]byte
-	off := 0
-	for off < len(buf) {
-		if len(buf)-off < 8 {
-			return nil, fmt.Errorf("truncated frame header at %d", off)
-		}
-		n := int(binary.LittleEndian.Uint32(buf[off:]))
-		crc := binary.LittleEndian.Uint32(buf[off+4:])
-		if n > len(buf)-off-8 {
-			return nil, fmt.Errorf("frame at %d overruns chunk", off)
-		}
-		payload := buf[off+8 : off+8+n]
-		if crc32.Checksum(payload, followCastagnoli) != crc {
-			return nil, fmt.Errorf("frame at %d fails checksum", off)
-		}
-		payloads = append(payloads, payload)
-		off += 8 + n
-	}
-	return payloads, nil
-}
-
 // persistChunk appends verified bytes to the local copy of segment gen,
 // creating the file (with header) on first write, and fsyncs so the
 // local directory never trails what the target has applied by more than
@@ -613,14 +527,9 @@ func (f *Follower) persistChunk(gen uint64, offset int64, chunk []byte) error {
 	if file == nil {
 		path := persist.WALPath(f.opts.Dir, gen)
 		var err error
-		if offset == persist.SegmentHeaderSize {
-			if _, serr := os.Stat(path); os.IsNotExist(serr) {
-				file, err = persist.CreateSegmentFile(path)
-			} else {
-				file, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			}
-		} else {
-			file, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		file, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if os.IsNotExist(err) && offset == persist.SegmentHeaderSize {
+			file, err = persist.CreateSegmentFile(path)
 		}
 		if err != nil {
 			return fmt.Errorf("repl: opening local segment %016x: %w", gen, err)
@@ -685,18 +594,10 @@ func (f *Follower) rotate(oldGen uint64) error {
 }
 
 // compact persists the leader's snapshot at the new generation locally
-// (if it exists yet) and prunes local files it supersedes, keeping the
-// local directory's recovery invariant intact: segments are only
-// removed once a newer local snapshot covers them.
+// (if it exists yet) and applies persist's retention rule, which only
+// removes segments once a newer local snapshot covers them.
 func (f *Follower) compact(mf *persist.Manifest, gen uint64) {
-	has := false
-	for _, s := range mf.Snapshots {
-		if s == gen {
-			has = true
-			break
-		}
-	}
-	if !has {
+	if !slices.Contains(mf.Snapshots, gen) {
 		return
 	}
 	if _, err := os.Stat(persist.SnapPath(f.opts.Dir, gen)); err == nil {
@@ -708,27 +609,7 @@ func (f *Follower) compact(mf *persist.Manifest, gen uint64) {
 		return
 	}
 	f.snapshotsFetched.Add(1)
-	snaps, err := persist.ListSnapshots(f.opts.Dir)
-	if err != nil {
-		return
-	}
-	keepFrom := 0
-	if len(snaps) > f.opts.KeepSnapshots {
-		keepFrom = len(snaps) - f.opts.KeepSnapshots
-	}
-	for _, g := range snaps[:keepFrom] {
-		os.Remove(persist.SnapPath(f.opts.Dir, g))
-	}
-	oldestKept := snaps[keepFrom]
-	segs, err := persist.ListSegments(f.opts.Dir)
-	if err != nil {
-		return
-	}
-	for _, g := range segs {
-		if g < oldestKept {
-			os.Remove(persist.WALPath(f.opts.Dir, g))
-		}
-	}
+	persist.Prune(f.opts.Dir, 0)
 }
 
 // fetchManifest GETs the leader's manifest.
@@ -755,9 +636,9 @@ func (f *Follower) fetchManifest() (*persist.Manifest, error) {
 	return mf, nil
 }
 
-// fetchSnapshot downloads, verifies, and locally persists one snapshot,
-// returning the decoded state. The write is atomic (temp + rename) and
-// the file is only trusted after persist.ReadSnapshot re-checksums it.
+// fetchSnapshot downloads one snapshot and installs it locally through
+// persist.InstallSnapshot, which trusts it only once it verifies,
+// returning the decoded state.
 func (f *Follower) fetchSnapshot(gen uint64) (*persist.State, error) {
 	ctx, cancel := context.WithTimeout(f.ctx, 5*time.Minute)
 	defer cancel()
@@ -778,31 +659,9 @@ func (f *Follower) fetchSnapshot(gen uint64) (*persist.State, error) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("repl: snapshot request returned %s", resp.Status)
 	}
-	final := persist.SnapPath(f.opts.Dir, gen)
-	tmp := final + ".shipping"
-	out, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	st, err := persist.InstallSnapshot(f.opts.Dir, gen, resp.Body)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := io.Copy(out, resp.Body); err != nil {
-		out.Close()
-		os.Remove(tmp)
-		return nil, fmt.Errorf("repl: downloading snapshot %016x: %w", gen, err)
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		os.Remove(tmp)
-		return nil, err
-	}
-	out.Close()
-	st, err := persist.ReadSnapshot(tmp)
-	if err != nil {
-		os.Remove(tmp)
-		return nil, fmt.Errorf("repl: shipped snapshot %016x corrupt: %w", gen, err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return nil, err
+		return nil, fmt.Errorf("repl: shipped snapshot %016x: %w", gen, err)
 	}
 	return st, nil
 }

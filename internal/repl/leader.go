@@ -13,7 +13,6 @@
 package repl
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -118,8 +117,8 @@ func (l *Leader) HandleManifest(w http.ResponseWriter, r *http.Request) {
 }
 
 // HandleSnapshot serves GET /v1/repl/snapshot/{gen}: the raw snapshot
-// file (already self-checksummed — the follower verifies with
-// persist.ReadSnapshot before restoring).
+// file (already self-checksummed — the follower verifies it in
+// persist.InstallSnapshot before restoring).
 func (l *Leader) HandleSnapshot(w http.ResponseWriter, r *http.Request) {
 	gen, ok := parseGenParam(w, r)
 	if !ok {
@@ -240,56 +239,31 @@ func (l *Leader) HandleWAL(w http.ResponseWriter, r *http.Request) {
 }
 
 // readFrames reads WAL bytes [from, watermark) capped near MaxChunk but
-// always ending on a frame boundary. Frames below the watermark are
-// complete by construction (the watermark only advances past whole
-// appended frames), so the length headers inside the range are
-// trustworthy; a record larger than MaxChunk is shipped whole rather
-// than deadlocking the follower on a chunk that can never contain it.
+// always ending on a frame boundary, as persist.ReadFrames finds it.
+// Frames below the watermark are complete by construction, so a cut
+// holding no whole frame means the first is longer than the cap: the cap
+// doubles until it fits, and a record larger than MaxChunk ships whole
+// rather than deadlocking the follower on a chunk that can never hold
+// it. No chunk outgrows what a follower reads (maxChunkBody).
 func (l *Leader) readFrames(gen uint64, from, watermark int64) ([]byte, error) {
 	f, err := os.Open(persist.WALPath(l.mgr.Dir(), gen))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	n := watermark - from
-	if n > l.opts.MaxChunk {
-		n = l.opts.MaxChunk
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(f, from, n), buf); err != nil {
-		return nil, fmt.Errorf("repl: reading segment %016x at %d: %w", gen, from, err)
-	}
-	end := lastFrameBoundary(buf)
-	if end > 0 {
-		return buf[:end], nil
-	}
-	// First frame is longer than the chunk: ship exactly that frame.
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("repl: segment %016x frame header truncated below watermark", gen)
-	}
-	frameLen := int64(8 + binary.LittleEndian.Uint32(buf))
-	if from+frameLen > watermark {
-		return nil, fmt.Errorf("repl: segment %016x frame at %d crosses the watermark", gen, from)
-	}
-	buf = make([]byte, frameLen)
-	if _, err := io.ReadFull(io.NewSectionReader(f, from, frameLen), buf); err != nil {
-		return nil, fmt.Errorf("repl: reading oversized frame in segment %016x at %d: %w", gen, from, err)
-	}
-	return buf, nil
-}
-
-// lastFrameBoundary walks whole frames from the start of buf and
-// returns the offset just past the last complete one (0 if none fits).
-func lastFrameBoundary(buf []byte) int64 {
-	off := 0
-	for off+8 <= len(buf) {
-		n := int(binary.LittleEndian.Uint32(buf[off:]))
-		if off+8+n > len(buf) {
-			break
+	limit := min(watermark-from, maxChunkBody)
+	for n := min(l.opts.MaxChunk, limit); ; n = min(2*n, limit) {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(io.NewSectionReader(f, from, n), buf); err != nil {
+			return nil, fmt.Errorf("repl: reading segment %016x at %d: %w", gen, from, err)
 		}
-		off += 8 + n
+		if _, end, _ := persist.ReadFrames(buf, nil); end > 0 {
+			return buf[:end], nil
+		}
+		if n == limit {
+			return nil, fmt.Errorf("repl: segment %016x has no intact frame within %d bytes of %d", gen, n, from)
+		}
 	}
-	return int64(off)
 }
 
 // observeFollower records one follower's reported progress and its lag

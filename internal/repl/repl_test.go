@@ -140,8 +140,10 @@ func (h *replHarness) restartManager(keepSnapshots int) {
 	h.startManager(keepSnapshots)
 }
 
-func (h *replHarness) insert(v int64) {
-	rec := &persist.Record{Kind: persist.RecInsert, Table: "t", Row: engine.Row{engine.NewInt(v)}}
+func (h *replHarness) insert(v int64) { h.insertRow(engine.Row{engine.NewInt(v)}) }
+
+func (h *replHarness) insertRow(row engine.Row) {
+	rec := &persist.Record{Kind: persist.RecInsert, Table: "t", Row: row}
 	err := h.manager().Log(rec, func() error {
 		h.mu.Lock()
 		h.rows = append(h.rows, rec.Row)
@@ -513,5 +515,38 @@ func TestFollowerDiesWithoutSnapshotToRebootstrapFrom(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("follower never reported the unhealable gap as fatal")
+	}
+}
+
+// A record larger than the leader's MaxChunk (64 bytes here) cannot fit
+// any capped chunk: it must still ship whole, apply, and replay from the
+// follower's own disk after a restart.
+func TestFollowerShipsRecordLargerThanMaxChunk(t *testing.T) {
+	h := newHarness(t, 2)
+	ft := &fakeTarget{}
+	fdir := t.TempDir()
+	f := startTestFollower(t, h, ft, fdir)
+	h.insert(1)
+	h.insertRow(engine.Row{engine.NewInt(2), engine.NewString(strings.Repeat("x", 300))})
+	h.insert(3)
+	waitFor(t, "oversized record applied", func() bool { return ft.count() == 3 && f.Status().CaughtUp })
+	if !sameValues(ft.values(), h.values()) {
+		t.Fatalf("follower rows %v != leader rows %v", ft.values(), h.values())
+	}
+	if got := f.Status().ChunksRejected; got != 0 {
+		t.Fatalf("%d chunks rejected: the leader cut a frame", got)
+	}
+	f.Close()
+
+	ft2 := &fakeTarget{}
+	f2 := startTestFollower(t, h, ft2, fdir)
+	if got := ft2.count(); got != 3 || f2.snapshotsFetched.Load() != 0 {
+		t.Fatalf("restart replayed %d records with %d snapshot fetches, want 3 from local disk alone",
+			got, f2.snapshotsFetched.Load())
+	}
+	h.insert(4)
+	waitFor(t, "tail after restart", func() bool { return ft2.count() == 4 && f2.Status().CaughtUp })
+	if !sameValues(ft2.values(), h.values()) {
+		t.Fatalf("follower rows %v != leader rows %v", ft2.values(), h.values())
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"strings"
 	"time"
 
+	congress "github.com/approxdb/congress"
 	"github.com/approxdb/congress/internal/aqua"
 	"github.com/approxdb/congress/internal/core"
 	"github.com/approxdb/congress/internal/engine"
@@ -69,11 +70,11 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	strategy, err := parseStrategy(*strategyName)
+	strategy, err := congress.ParseStrategy(*strategyName)
 	if err != nil {
 		return err
 	}
-	rw, err := parseRewrite(*rewriteName)
+	rw, err := congress.ParseRewriteStrategy(*rewriteName)
 	if err != nil {
 		return err
 	}
@@ -259,35 +260,5 @@ func runREPL(a *aqua.Aqua, rw rewrite.Strategy, in io.Reader, out io.Writer) err
 			fmt.Fprint(out, res)
 			fmt.Fprintf(out, "(%v, approximate)\n", time.Since(start).Round(time.Millisecond))
 		}
-	}
-}
-
-func parseStrategy(s string) (core.Strategy, error) {
-	switch strings.ToLower(s) {
-	case "house":
-		return core.House, nil
-	case "senate":
-		return core.Senate, nil
-	case "basic", "basiccongress":
-		return core.BasicCongress, nil
-	case "congress":
-		return core.Congress, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", s)
-	}
-}
-
-func parseRewrite(s string) (rewrite.Strategy, error) {
-	switch strings.ToLower(s) {
-	case "integrated":
-		return rewrite.Integrated, nil
-	case "nested", "nestedintegrated", "nested-integrated":
-		return rewrite.NestedIntegrated, nil
-	case "normalized":
-		return rewrite.Normalized, nil
-	case "keynormalized", "key-normalized":
-		return rewrite.KeyNormalized, nil
-	default:
-		return 0, fmt.Errorf("unknown rewrite strategy %q", s)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	congress "github.com/approxdb/congress"
 	"github.com/approxdb/congress/internal/aqua"
 	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/rewrite"
@@ -62,20 +63,24 @@ func TestRunExplain(t *testing.T) {
 }
 
 func TestRunAllStrategyAndRewriteNames(t *testing.T) {
-	for _, s := range []string{"house", "senate", "basic", "congress"} {
-		if _, err := parseStrategy(s); err != nil {
-			t.Errorf("parseStrategy(%q): %v", s, err)
+	for _, s := range []string{"house", "senate", "basic", "basiccongress", "basic-congress", "congress"} {
+		if _, err := congress.ParseStrategy(s); err != nil {
+			t.Errorf("ParseStrategy(%q): %v", s, err)
+		}
+		var out strings.Builder
+		if err := run([]string{"-rows", "2000", "-groups", "8", "-strategy", s, "-explain"}, &out); err != nil {
+			t.Errorf("-strategy %s: %v", s, err)
 		}
 	}
-	if _, err := parseStrategy("bogus"); err == nil {
+	if _, err := congress.ParseStrategy("bogus"); err == nil {
 		t.Error("bogus strategy accepted")
 	}
-	for _, s := range []string{"integrated", "nested", "normalized", "keynormalized", "nested-integrated", "key-normalized"} {
-		if _, err := parseRewrite(s); err != nil {
-			t.Errorf("parseRewrite(%q): %v", s, err)
+	for _, s := range []string{"integrated", "nested", "nestedintegrated", "normalized", "keynormalized", "nested-integrated", "key-normalized"} {
+		if _, err := congress.ParseRewriteStrategy(s); err != nil {
+			t.Errorf("ParseRewriteStrategy(%q): %v", s, err)
 		}
 	}
-	if _, err := parseRewrite("bogus"); err == nil {
+	if _, err := congress.ParseRewriteStrategy("bogus"); err == nil {
 		t.Error("bogus rewrite accepted")
 	}
 }

@@ -25,7 +25,8 @@ import (
 // mapping and wire conversion, health probing, and schema discovery.
 
 // ErrShardUnavailable marks a scatter-gather leg that failed terminally
-// at the transport or availability layer after exhausting its retries:
+// at the transport or availability layer after the retries its call
+// allows:
 // the shard process is down, unreachable, or persistently shedding. A
 // coordinator never answers from the surviving shards alone — a merged
 // partial answer would silently drop every group homed on the missing
@@ -38,12 +39,12 @@ type CoordinatorOptions struct {
 	// LegTimeout bounds each fan-out attempt against one shard (also
 	// forwarded as the shard-side timeout_ms). Default 10s.
 	LegTimeout time.Duration
-	// Retries is how many extra attempts a transiently failing partials
-	// leg gets (transport errors, 429/503/5xx) before the query fails
-	// with ErrShardUnavailable. Default 2; negative means none.
+	// Retries is how many extra attempts a leg gets before it fails with
+	// ErrShardUnavailable: a partials leg on any transient failure
+	// (transport errors, a damaged frame, 429/503/5xx), an insert,
+	// refresh or listing only when the shard shed it with 429. Default
+	// 2; negative means none.
 	Retries int
-	// MaxBackoff caps the exponential retry backoff. Default 2s.
-	MaxBackoff time.Duration
 	// HTTPClient substitutes the transport for every shard client
 	// (tests, custom TLS).
 	HTTPClient *http.Client
@@ -59,10 +60,15 @@ func (o *CoordinatorOptions) withDefaults() {
 	case o.Retries < 0:
 		o.Retries = 0
 	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 2 * time.Second
-	}
 }
+
+// Backoff between the attempts of one leg: exponential from
+// minLegBackoff, raised to the shard's Retry-After hint, capped at
+// maxLegBackoff.
+const (
+	minLegBackoff = 50 * time.Millisecond
+	maxLegBackoff = 2 * time.Second
+)
 
 // RemoteShard is one shard process seen from the coordinator: a
 // pkg/client handle plus the retry policy for its scatter-gather legs.
@@ -75,7 +81,6 @@ type RemoteShard struct {
 	tel        *shard.Telemetry
 	legTimeout time.Duration
 	retries    int
-	maxBackoff time.Duration
 	// wire counts this shard's partials replies and their body bytes by
 	// the encoding they arrived in, indexed as wireEncodings.
 	wire [len(wireEncodings)]struct{ replies, bytes atomic.Int64 }
@@ -116,21 +121,65 @@ func mapShardError(err error) (mapped error, terminal bool) {
 	return err, true // remaining 4xx: retrying the same request cannot help
 }
 
-// wrapErr maps a client error from a call that is not retried: typed
-// sentinels pass through, everything transport/availability-shaped
-// wraps ErrShardUnavailable with the shard's identity.
-func (rs *RemoteShard) wrapErr(err error) error {
-	if mapped, terminal := mapShardError(err); terminal {
-		return mapped
+// Retry rules say which transient failure (one mapShardError does not
+// call terminal) a call may send again.
+
+// anyTransient fits a read-only call: a repeat cannot change state.
+func anyTransient(error) bool { return true }
+
+// onlyShed fits a call that may have executed: admission control
+// rejects a 429 before the handler runs, so only that repeat cannot
+// apply a write twice.
+func onlyShed(err error) bool { return client.IsOverloaded(err) }
+
+// call runs attempt under the per-attempt leg timeout, sending it again
+// after a transient failure that retryable allows, up to rs.retries
+// more times with exponential backoff that honors the shard's
+// Retry-After; each repeat counts in the shard's retry telemetry. This
+// is the only retry loop between congressd processes. Terminal API
+// errors map onto the typed sentinels; a transient failure that may not
+// or can no longer be retried wraps ErrShardUnavailable with the shard
+// ordinal and endpoint.
+func (rs *RemoteShard) call(ctx context.Context, retryable func(error) bool, attempt func(ctx context.Context) error) error {
+	backoff := minLegBackoff
+	for n := 1; ; n++ {
+		actx, cancel := context.WithTimeout(ctx, rs.legTimeout)
+		err := attempt(actx)
+		cancel()
+		if err == nil {
+			return nil
+		}
+		// The parent context going away is a sibling's failure or the
+		// caller's deadline, not this shard's fault: report it as such so
+		// Fanout's error selection can discard it.
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		mapped, terminal := mapShardError(err)
+		if terminal {
+			return mapped
+		}
+		if n > rs.retries || !retryable(err) {
+			return fmt.Errorf("%w: shard %d (%s), %d attempt(s): %v",
+				ErrShardUnavailable, rs.ord, rs.endpoint, n, err)
+		}
+		rs.tel.AddRetry(rs.ord)
+		wait := backoff
+		var ae *client.APIError
+		if errors.As(err, &ae) && ae.RetryAfter > wait {
+			wait = ae.RetryAfter
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(min(wait, maxLegBackoff)):
+		}
+		backoff *= 2
 	}
-	return fmt.Errorf("%w: shard %d (%s): %v", ErrShardUnavailable, rs.ord, rs.endpoint, err)
 }
 
-// EstimatePartials runs the partials scan on the remote shard with
-// per-attempt timeouts and retry-with-backoff on transient failures,
-// honoring the shard's Retry-After hint when it sheds. Terminal API
-// errors map onto the typed sentinels; exhausted retries wrap
-// ErrShardUnavailable with the shard ordinal and endpoint.
+// EstimatePartials runs the partials scan on the remote shard. The scan
+// is read-only, so every transient failure is retried.
 func (rs *RemoteShard) EstimatePartials(ctx context.Context, table string, grouping []string, aggCol string, opts PartialsOptions) ([]GroupPartial, error) {
 	req := client.PartialsRequest{
 		Table:     table,
@@ -139,67 +188,35 @@ func (rs *RemoteShard) EstimatePartials(ctx context.Context, table string, group
 		NoHybrid:  opts.NoHybrid,
 		TimeoutMS: rs.legTimeout.Milliseconds(),
 	}
-	backoff := 50 * time.Millisecond
-	var lastErr error
-	for attempt := 0; attempt <= rs.retries; attempt++ {
-		if attempt > 0 {
-			rs.tel.AddRetry(rs.ord)
-			wait := backoff
-			var ae *client.APIError
-			if errors.As(lastErr, &ae) && ae.RetryAfter > wait {
-				wait = ae.RetryAfter
-			}
-			if wait > rs.maxBackoff {
-				wait = rs.maxBackoff
-			}
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(wait):
-			}
-			backoff *= 2
-		}
-		actx, cancel := context.WithTimeout(ctx, rs.legTimeout)
-		resp, err := rs.c.Partials(actx, req)
-		cancel()
-		if err == nil {
-			enc := 0
-			if resp.Binary {
-				enc = 1
-			}
-			rs.wire[enc].replies.Add(1)
-			rs.wire[enc].bytes.Add(resp.WireBytes)
-			return resp.Partials, nil
-		}
-		// The parent context going away is a sibling's failure or the
-		// caller's deadline, not this shard's fault: report it as such so
-		// Fanout's error selection can discard it.
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		mapped, terminal := mapShardError(err)
-		if terminal {
-			return nil, mapped
-		}
-		lastErr = err
+	var resp *client.PartialsResponse
+	err := rs.call(ctx, anyTransient, func(ctx context.Context) (err error) {
+		resp, err = rs.c.Partials(ctx, req)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("%w: shard %d (%s) after %d attempts: %v",
-		ErrShardUnavailable, rs.ord, rs.endpoint, rs.retries+1, lastErr)
+	enc := 0
+	if resp.Binary {
+		enc = 1
+	}
+	rs.wire[enc].replies.Add(1)
+	rs.wire[enc].bytes.Add(resp.WireBytes)
+	return resp.Partials, nil
 }
 
-// insert posts one /v1/insert to the shard process under the leg
-// timeout. Inserts are not retried on transport failure — the
-// coordinator cannot know whether the shard applied the rows before the
-// connection died, and a blind retry could double-insert; the caller
-// sees ErrShardUnavailable and decides. (429 shedding is retried inside
-// the client: shed requests are rejected before execution, so that
-// retry is safe.)
+// insert posts one /v1/insert to the shard process, retried only when
+// shed: after any other failure the coordinator cannot know whether the
+// shard applied the rows, and a blind retry could double-insert; the
+// caller sees ErrShardUnavailable and decides.
 func (rs *RemoteShard) insert(ctx context.Context, req client.InsertRequest) (int, error) {
-	cctx, cancel := context.WithTimeout(ctx, rs.legTimeout)
-	defer cancel()
-	resp, err := rs.c.Insert(cctx, req)
+	var resp *client.InsertResponse
+	err := rs.call(ctx, onlyShed, func(ctx context.Context) (err error) {
+		resp, err = rs.c.Insert(ctx, req)
+		return err
+	})
 	if err != nil {
-		return 0, rs.wrapErr(err)
+		return 0, err
 	}
 	return resp.Inserted, nil
 }
@@ -208,7 +225,10 @@ func (rs *RemoteShard) insert(ctx context.Context, req client.InsertRequest) (in
 func (rs *RemoteShard) InsertRows(ctx context.Context, table string, rows []Row) (int, error) {
 	wire := make([][]any, len(rows))
 	for i, row := range rows {
-		wire[i] = wireRow(row)
+		wire[i] = make([]any, len(row))
+		for j, v := range row {
+			wire[i][j] = v.JSONValue()
+		}
 	}
 	return rs.insert(ctx, client.InsertRequest{Table: table, Rows: wire})
 }
@@ -225,16 +245,16 @@ func (rs *RemoteShard) RefreshSynopsis(ctx context.Context, table string) error 
 	return err
 }
 
-// describe fetches the shard's /v1/synopses listing under the leg
-// timeout.
+// describe fetches the shard's /v1/synopses listing, retried only when
+// shed: a listing is diagnostic, and a dead shard should not hold it up
+// for the whole backoff.
 func (rs *RemoteShard) describe(ctx context.Context, allocation bool) ([]client.SynopsisInfo, error) {
-	cctx, cancel := context.WithTimeout(ctx, rs.legTimeout)
-	defer cancel()
-	infos, err := rs.c.Synopses(cctx, allocation)
-	if err != nil {
-		return nil, rs.wrapErr(err)
-	}
-	return infos, nil
+	var infos []client.SynopsisInfo
+	err := rs.call(ctx, onlyShed, func(ctx context.Context) (err error) {
+		infos, err = rs.c.Synopses(ctx, allocation)
+		return err
+	})
+	return infos, err
 }
 
 // Synopses lists the shard process's synopses.
@@ -284,28 +304,6 @@ func (rs *RemoteShard) AllocationTable(ctx context.Context, table string) ([]All
 	return nil, fmt.Errorf("%w %q on shard %d", ErrNoSynopsis, table, rs.ord)
 }
 
-// wireRow converts engine values to their JSON-native wire form (the
-// inverse of the server's per-column decode): numbers stay numbers,
-// strings and dates render as display text.
-func wireRow(row Row) []any {
-	out := make([]any, len(row))
-	for i, v := range row {
-		switch v.K {
-		case engine.KindNull:
-			out[i] = nil
-		case engine.KindBool:
-			out[i] = v.I != 0
-		case engine.KindInt:
-			out[i] = v.I
-		case engine.KindFloat:
-			out[i] = v.F
-		default:
-			out[i] = v.String()
-		}
-	}
-	return out
-}
-
 // Coordinator fronts a static membership of congressd shard processes:
 // inserts route by the finest grouping key, estimates scatter-gather
 // partials over HTTP and merge exactly as the in-process path does —
@@ -334,11 +332,11 @@ func NewCoordinator(endpoints []string, opts CoordinatorOptions) (*Coordinator, 
 		return nil, err
 	}
 	co := &Coordinator{shardCore: c, mem: mem, opts: opts}
+	var copts []client.Option
+	if opts.HTTPClient != nil {
+		copts = append(copts, client.WithHTTPClient(opts.HTTPClient))
+	}
 	for i, ep := range mem.Endpoints {
-		copts := []client.Option{client.WithRetry(opts.Retries, opts.MaxBackoff)}
-		if opts.HTTPClient != nil {
-			copts = append(copts, client.WithHTTPClient(opts.HTTPClient))
-		}
 		rs := &RemoteShard{
 			ord:        i,
 			endpoint:   ep,
@@ -346,7 +344,6 @@ func NewCoordinator(endpoints []string, opts CoordinatorOptions) (*Coordinator, 
 			tel:        c.tel,
 			legTimeout: opts.LegTimeout,
 			retries:    opts.Retries,
-			maxBackoff: opts.MaxBackoff,
 		}
 		co.shards = append(co.shards, rs)
 		c.legs[i] = rs

@@ -13,6 +13,8 @@
 package engine
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -244,6 +246,90 @@ func (v Value) AppendGroupKey(dst []byte) []byte {
 		return strconv.AppendUint(append(dst, "\x00g"...), math.Float64bits(v.F), 36)
 	default:
 		return append(append(dst, "\x00s"...), v.S...)
+	}
+}
+
+// JSONValue returns v in its JSON wire form, the one congressd uses for
+// result rows and insert rows alike: NULL is null, booleans and numbers
+// stay themselves, strings and dates render as display text. It is the
+// inverse of ParseJSONValue.
+func (v Value) JSONValue() any {
+	switch v.K {
+	case KindNull:
+		return nil
+	case KindBool:
+		return v.I != 0
+	case KindInt:
+		return v.I
+	case KindFloat:
+		return v.F
+	default:
+		return v.String()
+	}
+}
+
+// maxExactFloatInt is 2^53: every integer up to it in magnitude has an
+// exact float64, so an integral number written in float syntax
+// ("7.0", "1e3") converts to INTEGER without rounding.
+const maxExactFloatInt = 1 << 53
+
+// ParseJSONValue converts one decoded JSON value to a Value of kind k.
+// Numbers must arrive as json.Number (decode with
+// json.Decoder.UseNumber): an INTEGER is parsed from the literal, so it
+// is exact across the whole int64 range, and a number that does not fit
+// the kind is an error, never a rounded value.
+func ParseJSONValue(raw any, k Kind) (Value, error) {
+	if raw == nil {
+		return Null, nil
+	}
+	switch k {
+	case KindInt:
+		n, ok := raw.(json.Number)
+		if !ok {
+			return Null, fmt.Errorf("want integer, got %v", raw)
+		}
+		i, err := strconv.ParseInt(string(n), 10, 64)
+		if err == nil {
+			return NewInt(i), nil
+		}
+		if errors.Is(err, strconv.ErrRange) {
+			return Null, fmt.Errorf("integer %s does not fit in 64 bits", n)
+		}
+		f, err := strconv.ParseFloat(string(n), 64)
+		if err != nil || f != math.Trunc(f) || math.Abs(f) > maxExactFloatInt {
+			return Null, fmt.Errorf("want integer, got %s", n)
+		}
+		return NewInt(int64(f)), nil
+	case KindFloat:
+		n, ok := raw.(json.Number)
+		if !ok {
+			return Null, fmt.Errorf("want number, got %v", raw)
+		}
+		f, err := strconv.ParseFloat(string(n), 64)
+		if err != nil {
+			return Null, fmt.Errorf("number %s does not fit in a float64", n)
+		}
+		return NewFloat(f), nil
+	case KindString:
+		s, ok := raw.(string)
+		if !ok {
+			return Null, fmt.Errorf("want string, got %v", raw)
+		}
+		return NewString(s), nil
+	case KindBool:
+		b, ok := raw.(bool)
+		if !ok {
+			return Null, fmt.Errorf("want boolean, got %v", raw)
+		}
+		return NewBool(b), nil
+	case KindDate:
+		s, ok := raw.(string)
+		if !ok {
+			return Null, fmt.Errorf("want %q date string, got %v", "yyyy-mm-dd", raw)
+		}
+		return ParseDate(s)
+	default:
+		return Null, fmt.Errorf("unsupported column kind %v", k)
 	}
 }
 

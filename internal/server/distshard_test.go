@@ -97,7 +97,6 @@ func coordinatorBehind(t *testing.T, sw *congress.ShardedWarehouse, wrap func(sh
 	co, err := congress.NewCoordinator(urls, congress.CoordinatorOptions{
 		LegTimeout: 5 * time.Second,
 		Retries:    1,
-		MaxBackoff: 100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,35 +27,40 @@ type serverMetrics struct {
 	shed     atomic.Int64
 	panics   atomic.Int64
 
-	all     *metrics.Histogram
-	byRoute map[string]*metrics.Histogram // fixed key set, created up front
+	all *metrics.Histogram
+	// byRoute holds one histogram per route Server.instrument wraps,
+	// added while New builds the mux and read-only once it serves, so
+	// observe stays lock-free and no served route lacks a series.
+	byRoute map[string]*metrics.Histogram
+	routes  []string // byRoute's keys, sorted
 
 	mu       sync.Mutex
 	requests map[string]int64 // "route\x00code" -> count
 }
 
-// metricRoutes is the fixed label set; creating every histogram up front
-// keeps Observe lock-free.
-var metricRoutes = []string{"exact", "healthz", "insert", "metrics", "query", "repl", "repl_status", "snapshot", "synopses"}
-
 func newServerMetrics() *serverMetrics {
-	m := &serverMetrics{
+	return &serverMetrics{
 		all:      metrics.NewHistogram(),
-		byRoute:  make(map[string]*metrics.Histogram, len(metricRoutes)),
+		byRoute:  make(map[string]*metrics.Histogram),
 		requests: make(map[string]int64),
 	}
-	for _, r := range metricRoutes {
-		m.byRoute[r] = metrics.NewHistogram()
+}
+
+// addRoute gives a route its latency histogram; only New calls it,
+// before the server handles a request.
+func (m *serverMetrics) addRoute(route string) {
+	if _, ok := m.byRoute[route]; ok {
+		return
 	}
-	return m
+	m.byRoute[route] = metrics.NewHistogram()
+	m.routes = append(m.routes, route)
+	sort.Strings(m.routes)
 }
 
 // observe records one completed request.
 func (m *serverMetrics) observe(route string, code int, d time.Duration) {
 	m.all.Observe(d)
-	if h, ok := m.byRoute[route]; ok {
-		h.Observe(d)
-	}
+	m.byRoute[route].Observe(d)
 	m.mu.Lock()
 	m.requests[route+"\x00"+fmt.Sprint(code)]++
 	m.mu.Unlock()
@@ -86,7 +91,7 @@ func (m *serverMetrics) render(sb *strings.Builder, queueDepth int64) {
 	}
 
 	m.all.Snapshot().Render(sb, "server_request_seconds_all")
-	for _, r := range metricRoutes {
+	for _, r := range m.routes {
 		if snap := m.byRoute[r].Snapshot(); snap.Count > 0 {
 			snap.Render(sb, "server_request_seconds", "route", r)
 		}

@@ -287,8 +287,10 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 }
 
 // instrument wraps a handler with panic recovery, in-flight accounting,
-// latency observation, and one structured log line per request.
+// latency observation under the route's own histogram, and one
+// structured log line per request.
 func (s *Server) instrument(route string, h func(http.ResponseWriter, *http.Request)) http.Handler {
+	s.met.addRoute(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := s.reqID.Add(1)
 		sw := &statusWriter{ResponseWriter: w}
@@ -578,7 +580,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		}
 		row := make(congress.Row, len(raw))
 		for i, rv := range raw {
-			if row[i], err = jsonToValue(rv, cols[i]); err != nil {
+			if row[i], err = engine.ParseJSONValue(rv, cols[i].Kind); err != nil {
 				writeError(w, http.StatusBadRequest, "bad_request",
 					fmt.Sprintf("row %d column %q: %v (0 rows inserted)", ri, cols[i].Name, err))
 				return
@@ -791,8 +793,11 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 // ----- helpers -----
 
 // decodeBody parses the JSON request body, writing a 400 on failure.
+// Numbers in untyped fields (insert rows) stay json.Number, the form
+// engine.ParseJSONValue reads exactly.
 func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
+	dec.UseNumber()
 	if err := dec.Decode(into); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: "+err.Error())
 		return false
@@ -860,65 +865,9 @@ func resultToWire(res *congress.Result) ([]string, [][]any) {
 	for i, r := range res.Rows {
 		out := make([]any, len(r))
 		for j, v := range r {
-			out[j] = valueToJSON(v)
+			out[j] = v.JSONValue()
 		}
 		rows[i] = out
 	}
 	return res.Columns, rows
-}
-
-func valueToJSON(v engine.Value) any {
-	switch v.K {
-	case engine.KindNull:
-		return nil
-	case engine.KindBool:
-		return v.I != 0
-	case engine.KindInt:
-		return v.I
-	case engine.KindFloat:
-		return v.F
-	default: // strings and dates render as display text
-		return v.String()
-	}
-}
-
-// jsonToValue converts one JSON-decoded value to the column's kind.
-func jsonToValue(raw any, col engine.Column) (engine.Value, error) {
-	if raw == nil {
-		return engine.Null, nil
-	}
-	switch col.Kind {
-	case engine.KindInt:
-		f, ok := raw.(float64)
-		if !ok || f != float64(int64(f)) {
-			return engine.Null, fmt.Errorf("want integer, got %v", raw)
-		}
-		return engine.NewInt(int64(f)), nil
-	case engine.KindFloat:
-		f, ok := raw.(float64)
-		if !ok {
-			return engine.Null, fmt.Errorf("want number, got %v", raw)
-		}
-		return engine.NewFloat(f), nil
-	case engine.KindString:
-		s, ok := raw.(string)
-		if !ok {
-			return engine.Null, fmt.Errorf("want string, got %v", raw)
-		}
-		return engine.NewString(s), nil
-	case engine.KindBool:
-		b, ok := raw.(bool)
-		if !ok {
-			return engine.Null, fmt.Errorf("want boolean, got %v", raw)
-		}
-		return engine.NewBool(b), nil
-	case engine.KindDate:
-		s, ok := raw.(string)
-		if !ok {
-			return engine.Null, fmt.Errorf("want %q date string, got %v", "yyyy-mm-dd", raw)
-		}
-		return engine.ParseDate(s)
-	default:
-		return engine.Null, fmt.Errorf("unsupported column kind %v", col.Kind)
-	}
 }

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"time"
@@ -25,12 +24,12 @@ import (
 )
 
 // Client talks to one congressd server. It is safe for concurrent use.
+// Every call is exactly one HTTP request: a 429 comes back as an
+// *APIError (see IsOverloaded and APIError.RetryAfter), and whether to
+// send it again is the caller's decision.
 type Client struct {
 	base string
 	hc   *http.Client
-
-	retryAttempts   int
-	retryMaxBackoff time.Duration
 }
 
 // Option customizes a Client.
@@ -40,24 +39,6 @@ type Option func(*Client)
 // transport, TLS, global timeout).
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
-}
-
-// WithRetry retries requests shed with 429 up to attempts extra times,
-// honoring the server's Retry-After hint and otherwise backing off
-// exponentially with jitter, capped at maxBackoff (default 5s when
-// <= 0). Retries respect the request context, so a caller deadline
-// still bounds the total wait.
-func WithRetry(attempts int, maxBackoff time.Duration) Option {
-	return func(c *Client) {
-		if attempts < 0 {
-			attempts = 0
-		}
-		if maxBackoff <= 0 {
-			maxBackoff = 5 * time.Second
-		}
-		c.retryAttempts = attempts
-		c.retryMaxBackoff = maxBackoff
-	}
 }
 
 // New returns a client for the server at baseURL (e.g.
@@ -293,65 +274,27 @@ func decodeReply(resp *http.Response, out any) error {
 	return nil
 }
 
-// raw sends one request, retrying while the server sheds it; accept,
-// when non-empty, is the Accept header.
+// raw sends one request; accept, when non-empty, is the Accept header.
 func (c *Client) raw(ctx context.Context, method, path string, in any, accept string) (*http.Response, error) {
-	var payload []byte
+	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
 			return nil, err
 		}
-		payload = b
+		body = bytes.NewReader(b)
 	}
-	backoff := 100 * time.Millisecond
-	for attempt := 0; ; attempt++ {
-		var body io.Reader
-		if in != nil {
-			body = bytes.NewReader(payload)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
-		if err != nil {
-			return nil, err
-		}
-		if in != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusTooManyRequests || attempt >= c.retryAttempts {
-			return resp, nil
-		}
-		// Shed by admission control and retries remain: honor the
-		// server's Retry-After when it exceeds our own backoff, cap, add
-		// jitter so a burst of shed clients does not return in lockstep.
-		wait := backoff
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, perr := strconv.Atoi(ra); perr == nil && time.Duration(secs)*time.Second > wait {
-				wait = time.Duration(secs) * time.Second
-			}
-		}
-		if wait > c.retryMaxBackoff {
-			wait = c.retryMaxBackoff
-		}
-		wait += time.Duration(rand.Int63n(int64(wait)/4 + 1))
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
-		resp.Body.Close()
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(wait):
-		}
-		backoff *= 2
-		if backoff > c.retryMaxBackoff {
-			backoff = c.retryMaxBackoff
-		}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	if err != nil {
+		return nil, err
 	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	return c.hc.Do(req)
 }
 
 // decodeError turns a non-2xx response into an *APIError, tolerating

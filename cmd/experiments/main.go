@@ -36,7 +36,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	which := fs.String("run", "all", "fig5|fig3|exp1|exp2|exp3|exp4|all")
+	which := fs.String("run", "all", "fig5|fig3|exp1|exp2|exp3|exp4|expm|expz|all")
 	rows := fs.Int("rows", 200_000, "table size for the experiments")
 	full := fs.Bool("full", false, "use the paper's full default parameters (1M rows)")
 	seed := fs.Int64("seed", 1, "RNG seed")

@@ -1,13 +1,13 @@
 package aqua
 
 import (
-	"math"
 	"sort"
 	"strings"
 
 	"github.com/approxdb/congress/internal/datacube"
 	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/estimate"
+	"github.com/approxdb/congress/internal/interval"
 )
 
 // Hybrid exact-aggregate support (AQP++-style): alongside the sample, a
@@ -174,13 +174,9 @@ func (s *Synopsis) ExactPartials(groupCols []int, aggCol int) ([]estimate.GroupP
 			}
 			outKey = strings.Join(ordered, datacube.KeySep)
 		}
-		out = append(out, estimate.GroupPartial{
-			Key:        outKey,
-			ExactSum:   sum,
-			ExactCount: float64(nonNull),
-			Lo:         math.Inf(1),
-			Hi:         math.Inf(-1),
-		})
+		m := interval.NewMoments()
+		m.ExactSum, m.ExactCount = sum, float64(nonNull)
+		out = append(out, estimate.GroupPartial{Key: outKey, Moments: m})
 	})
 	if !found {
 		return nil, false

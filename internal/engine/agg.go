@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/approxdb/congress/internal/interval"
 	"github.com/approxdb/congress/internal/sqlparse"
 )
 
@@ -15,11 +16,6 @@ type sortableRow struct {
 	row  Row
 	keys []Value
 }
-
-// zScore90 is the 90% two-sided normal critical value. The paper's Aqua
-// prototype reports error bounds at 90% confidence (Section 2,
-// footnote 6); the *_error pseudo-aggregates use the same default.
-const zScore90 = 1.6448536269514722
 
 // aggregate executes the grouped-aggregation path: it hashes input rows
 // into groups on the GROUP BY keys, feeds each group's rows into one
@@ -210,16 +206,8 @@ func newAggregator(f *sqlparse.FuncCall) (aggregator, error) {
 			return nil, fmt.Errorf("engine: %s expects one argument", strings.ToUpper(f.Name))
 		}
 		return &varAcc{arg: f.Args[0], isStd: f.Name == "stddev"}, nil
-	case "sum_error", "avg_error":
-		if len(f.Args) != 2 {
-			return nil, fmt.Errorf("engine: %s expects (value, scalefactor)", strings.ToUpper(f.Name))
-		}
-		return &errorAcc{val: f.Args[0], sf: f.Args[1], isAvg: f.Name == "avg_error"}, nil
-	case "count_error":
-		if len(f.Args) != 1 {
-			return nil, fmt.Errorf("engine: COUNT_ERROR expects (scalefactor)")
-		}
-		return &countErrorAcc{sf: f.Args[0]}, nil
+	case "sum_error", "avg_error", "count_error":
+		return newIntervalAcc(f)
 	default:
 		return nil, fmt.Errorf("engine: unknown aggregate %s", strings.ToUpper(f.Name))
 	}
@@ -388,113 +376,53 @@ func (a *varAcc) result() Value {
 	return NewFloat(v)
 }
 
-// errorAcc implements Aqua's SUM_ERROR / AVG_ERROR pseudo-aggregates: a
-// 90%-confidence half-width for the stratified expansion estimator.
-// Sample tuples are grouped into strata by their scale factor (all
-// tuples of one finest group share one SF, per Section 5.1); each
-// stratum contributes SF^2 * n * (1 - 1/SF) * s^2 to the estimator's
-// variance — the classic stratified-sampling variance estimate
-// N_h^2 (1-f_h) s_h^2 / n_h of [Coc77] with N_h = SF*n_h.
-type errorAcc struct {
-	val, sf sqlparse.Expr
-	isAvg   bool
-	strata  map[uint64]*stratumStats
-	// for AVG_ERROR: the scaled count (denominator of the ratio).
-	scaledCount float64
+// intervalAcc implements Aqua's error-column pseudo-aggregates
+// SUM_ERROR(v, sf, g1…gk), AVG_ERROR(v, sf, g1…gk) and
+// COUNT_ERROR(sf, g1…gk): the half-width, at
+// interval.DefaultConfidence, of the group's expansion estimate. Rows
+// are keyed into strata by the stratum columns g1…gk — the synopsis's
+// full grouping, which the rewriter passes — and the strata fold into
+// the group's moments exactly as estimate.Finalize's do. Only rows the
+// engine sees exist here, so a stratum a WHERE clause empties leaves no
+// zero-contribution term.
+type intervalAcc struct {
+	name   string
+	val    sqlparse.Expr // nil for COUNT_ERROR, where every row counts once
+	sf     sqlparse.Expr
+	cols   []sqlparse.Expr
+	strata map[string]*interval.Stratum
+	kb     []byte // reused stratum-key scratch
 }
 
-type stratumStats struct {
-	sf   float64
-	n    int64
-	mean float64
-	m2   float64
+func newIntervalAcc(f *sqlparse.FuncCall) (aggregator, error) {
+	minArgs, want := 3, "(value, scalefactor, stratum columns...)"
+	if f.Name == "count_error" {
+		minArgs, want = 2, "(scalefactor, stratum columns...)"
+	}
+	if len(f.Args) < minArgs {
+		return nil, fmt.Errorf("engine: %s expects %s", strings.ToUpper(f.Name), want)
+	}
+	a := &intervalAcc{name: f.Name, strata: make(map[string]*interval.Stratum)}
+	if f.Name != "count_error" {
+		a.val = f.Args[0]
+	}
+	a.sf, a.cols = f.Args[minArgs-2], f.Args[minArgs-1:]
+	return a, nil
 }
 
-func (a *errorAcc) add(ctx *evalCtx) error {
-	if a.strata == nil {
-		a.strata = make(map[uint64]*stratumStats)
-	}
-	v, err := ctx.eval(a.val)
-	if err != nil {
-		return err
-	}
-	sfv, err := ctx.eval(a.sf)
-	if err != nil {
-		return err
-	}
-	f, ok1 := v.AsFloat()
-	sf, ok2 := sfv.AsFloat()
-	if !ok1 || !ok2 {
-		return nil
-	}
-	if sf < 1 {
-		sf = 1
-	}
-	a.scaledCount += sf
-	key := math.Float64bits(sf)
-	st := a.strata[key]
-	if st == nil {
-		st = &stratumStats{sf: sf}
-		a.strata[key] = st
-	}
-	st.n++
-	d := f - st.mean
-	st.mean += d / float64(st.n)
-	st.m2 += d * (f - st.mean)
-	return nil
-}
-
-func (a *errorAcc) variance() float64 { return strataVariance(a.strata) }
-
-// strataVariance sums the per-stratum variance contributions in sorted
-// key order. Iterating the map directly would sum floats in a random
-// order and make the last bits of the result nondeterministic; both the
-// row and vectorized *_error aggregates use this so repeated runs (and
-// the differential test) see identical values.
-func strataVariance(strata map[uint64]*stratumStats) float64 {
-	keys := make([]uint64, 0, len(strata))
-	for k := range strata {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var total float64
-	for _, k := range keys {
-		st := strata[k]
-		if st.n < 2 {
-			continue
+func (a *intervalAcc) add(ctx *evalCtx) error {
+	v := 1.0
+	if a.val != nil {
+		x, err := ctx.eval(a.val)
+		if err != nil {
+			return err
 		}
-		s2 := st.m2 / float64(st.n-1)
-		total += st.sf * st.sf * float64(st.n) * (1 - 1/st.sf) * s2
-	}
-	return total
-}
-
-func (a *errorAcc) result() Value {
-	if len(a.strata) == 0 {
-		return Null
-	}
-	half := zScore90 * math.Sqrt(a.variance())
-	if a.isAvg {
-		if a.scaledCount <= 0 {
-			return Null
+		f, ok := x.AsFloat()
+		if !ok {
+			return nil
 		}
-		return NewFloat(half / a.scaledCount)
+		v = f
 	}
-	return NewFloat(half)
-}
-
-// countErrorAcc bounds the scaled COUNT estimator. Within a stratum the
-// number of sampled tuples passing the predicate is hypergeometric; we
-// use the binomial/Horvitz-Thompson approximation Var ≈ Σ SF(SF-1) over
-// sampled tuples, which is exact for Poisson sampling and conservative
-// for fixed-size strata.
-type countErrorAcc struct {
-	sf  sqlparse.Expr
-	sum float64
-	n   int64
-}
-
-func (a *countErrorAcc) add(ctx *evalCtx) error {
 	sfv, err := ctx.eval(a.sf)
 	if err != nil {
 		return err
@@ -506,14 +434,51 @@ func (a *countErrorAcc) add(ctx *evalCtx) error {
 	if sf < 1 {
 		sf = 1
 	}
-	a.sum += sf * (sf - 1)
-	a.n++
+	a.kb = a.kb[:0]
+	for _, c := range a.cols {
+		cv, err := ctx.eval(c)
+		if err != nil {
+			return err
+		}
+		a.kb = cv.AppendGroupKey(a.kb)
+	}
+	st := a.strata[string(a.kb)]
+	if st == nil {
+		// Every row of a synopsis stratum carries the same sf.
+		s := interval.NewStratum(sf)
+		st = &s
+		a.strata[string(a.kb)] = st
+	}
+	st.Add(v)
 	return nil
 }
 
-func (a *countErrorAcc) result() Value {
-	if a.n == 0 {
+func (a *intervalAcc) result() Value {
+	if len(a.strata) == 0 {
 		return Null
 	}
-	return NewFloat(zScore90 * math.Sqrt(a.sum))
+	// Fold in sorted key order: map order would make the last bits of
+	// the float sums vary from run to run.
+	keys := make([]string, 0, len(a.strata))
+	for k := range a.strata {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	m := interval.NewMoments()
+	for _, k := range keys {
+		m.AddStratum(a.strata[k])
+	}
+	var bound float64
+	switch a.name {
+	case "sum_error":
+		_, bound = m.Sum(interval.DefaultConfidence)
+	case "count_error":
+		_, bound = m.Count(interval.DefaultConfidence)
+	default:
+		var ok bool
+		if _, bound, ok = m.Avg(interval.DefaultConfidence); !ok {
+			return Null
+		}
+	}
+	return NewFloat(bound)
 }

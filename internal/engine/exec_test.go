@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/approxdb/congress/internal/interval"
 )
 
 // fixture builds a small catalog with a sales table, a sample table with
@@ -279,22 +281,73 @@ func TestAvgViaScaledSums(t *testing.T) {
 	}
 }
 
+// TestSumErrorAggregate pins the error-column pseudo-aggregates against
+// hand-computed 90 % half-widths. Rows are keyed into strata by the
+// trailing stratum columns, not by their scale factor.
 func TestSumErrorAggregate(t *testing.T) {
 	cat := fixture(t)
-	res := mustQuery(t, cat, "select sum_error(q, sf) from samprel where region = 'east'")
-	// east stratum: values 10,20 sf=100: s^2 = 50, var = 100^2*2*(1-0.01)*50.
-	want := zScore90 * math.Sqrt(100*100*2*0.99*50)
-	if got := floatAt(t, res, 0, 0); math.Abs(got-want) > 1e-6 {
-		t.Errorf("sum_error = %v, want %v", got, want)
+	// strata: stratum g, output group out, value v, scale factor sf.
+	rel := NewRelation("strata", MustSchema(
+		Column{Name: "g", Kind: KindString},
+		Column{Name: "out", Kind: KindString},
+		Column{Name: "v", Kind: KindFloat},
+		Column{Name: "sf", Kind: KindFloat},
+	))
+	for _, r := range []struct {
+		g, out string
+		v, sf  float64
+	}{
+		{"b", "x", 5, 40},                    // one row at sf > 1: sparse
+		{"c", "y", 1, 10}, {"c", "y", 3, 10}, // c and d: same sf, means 2 and 102
+		{"d", "y", 101, 10}, {"d", "y", 103, 10},
+		{"e", "z", 7, 1}, // one row at sf 1: the whole stratum
+	} {
+		if err := rel.Insert(Row{NewString(r.g), NewString(r.out), NewFloat(r.v), NewFloat(r.sf)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	res = mustQuery(t, cat, "select count_error(sf) from samprel")
-	want = zScore90 * math.Sqrt(2*100*99+2*50*49)
-	if got := floatAt(t, res, 0, 0); math.Abs(got-want) > 1e-6 {
-		t.Errorf("count_error = %v, want %v", got, want)
+	cat.Register(rel)
+
+	z := interval.ZScore(interval.DefaultConfidence)
+	cases := []struct {
+		name, sql string
+		want      float64
+	}{
+		// east stratum: values 10,20 sf=100: s^2 = 50, var = 100^2*2*(1-0.01)*50.
+		{"sum", "select sum_error(q, sf, region) from samprel where region = 'east'",
+			z * math.Sqrt(100*100*2*0.99*50)},
+		{"count", "select count_error(sf, region) from samprel",
+			z * math.Sqrt(2*100*99+2*50*49)},
+		// A lone row at sf 40 has no sample variance: the Hoeffding
+		// fallback over the degenerate range [5, 5] (width |5|) for n = 1,
+		// weighted by the stratum's scaled count.
+		{"single-row stratum", "select sum_error(v, sf, g) from strata where g = 'b'",
+			40 * 5 * math.Sqrt(math.Log(2/(1-interval.DefaultConfidence))/2)},
+		{"single row at sf 1", "select sum_error(v, sf, g) from strata where g = 'e'", 0},
+		// c and d each have s^2 = 2 around their own means; pooling them
+		// as one sf = 10 class would use the s^2 of {1, 3, 101, 103}.
+		{"equal sf not pooled", "select sum_error(v, sf, g) from strata where out = 'y'",
+			z * math.Sqrt(2*(10*10*2*0.9*2))},
+		// Delta-method ratio bound: R = 52, Σ sf(sf-1)(v-R)^2 over the
+		// four rows, over the scaled count 40.
+		{"avg delta method", "select avg_error(v, sf, g) from strata where out = 'y'",
+			z * math.Sqrt(10*9*(51*51+49*49+49*49+51*51)) / 40},
 	}
-	res = mustQuery(t, cat, "select avg_error(q, sf) from samprel where region='east'")
-	if got := floatAt(t, res, 0, 0); got <= 0 {
-		t.Errorf("avg_error = %v, want positive", got)
+	for _, c := range cases {
+		res := mustQuery(t, cat, c.sql)
+		if got := floatAt(t, res, 0, 0); math.Abs(got-c.want) > 1e-9*math.Max(1, c.want) {
+			t.Errorf("%s: %s = %v, want %v", c.name, c.sql, got, c.want)
+		}
+	}
+
+	for _, q := range []string{
+		"select sum_error(v, sf) from strata",
+		"select avg_error(v, sf) from strata",
+		"select count_error(sf) from strata",
+	} {
+		if _, err := ExecuteSQL(cat, q); err == nil {
+			t.Errorf("%s without stratum columns succeeded, want error", q)
+		}
 	}
 }
 

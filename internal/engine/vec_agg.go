@@ -279,111 +279,11 @@ func (a *varAgg) result(g int) Value {
 	return NewFloat(v)
 }
 
-// errGroupState is one group's SUM_ERROR/AVG_ERROR state: per-scale-
-// factor strata plus the scaled count (the AVG_ERROR denominator).
-type errGroupState struct {
-	strata      map[uint64]*stratumStats
-	scaledCount float64
-}
-
-// errAgg implements the SUM_ERROR/AVG_ERROR pseudo-aggregates with
-// errorAcc's exact per-stratum Welford accumulation. Variance sums
-// strata in sorted key order via strataVariance, same as the row path.
-type errAgg struct {
-	val, sf numNode
-	isAvg   bool
-	groups  []errGroupState
-}
-
-func (a *errAgg) push() { a.groups = append(a.groups, errGroupState{}) }
-
-func (a *errAgg) update(lo, hi int, sel, gids []int32) {
-	vch := a.val.eval(lo, hi)
-	sch := a.sf.eval(lo, hi)
-	for k, i := range sel {
-		// Row semantics: either operand NULL (AsFloat not-ok) skips the
-		// tuple entirely.
-		if (vch.null != nil && vch.null[i]) || (sch.null != nil && sch.null[i]) {
-			continue
-		}
-		st := &a.groups[gids[k]]
-		f := vch.floats[i]
-		sf := sch.floats[i]
-		if sf < 1 {
-			sf = 1
-		}
-		st.scaledCount += sf
-		key := math.Float64bits(sf)
-		if st.strata == nil {
-			st.strata = make(map[uint64]*stratumStats)
-		}
-		s := st.strata[key]
-		if s == nil {
-			s = &stratumStats{sf: sf}
-			st.strata[key] = s
-		}
-		s.n++
-		d := f - s.mean
-		s.mean += d / float64(s.n)
-		s.m2 += d * (f - s.mean)
-	}
-}
-
-func (a *errAgg) result(g int) Value {
-	st := &a.groups[g]
-	if len(st.strata) == 0 {
-		return Null
-	}
-	half := zScore90 * math.Sqrt(strataVariance(st.strata))
-	if a.isAvg {
-		if st.scaledCount <= 0 {
-			return Null
-		}
-		return NewFloat(half / st.scaledCount)
-	}
-	return NewFloat(half)
-}
-
-// countErrAgg implements COUNT_ERROR: Var ≈ Σ SF(SF-1) over sampled
-// tuples, as in countErrorAcc.
-type countErrAgg struct {
-	sf  numNode
-	sum []float64
-	n   []int64
-}
-
-func (a *countErrAgg) push() {
-	a.sum = append(a.sum, 0)
-	a.n = append(a.n, 0)
-}
-
-func (a *countErrAgg) update(lo, hi int, sel, gids []int32) {
-	ch := a.sf.eval(lo, hi)
-	for k, i := range sel {
-		if ch.null != nil && ch.null[i] {
-			continue
-		}
-		g := gids[k]
-		sf := ch.floats[i]
-		if sf < 1 {
-			sf = 1
-		}
-		a.sum[g] += sf * (sf - 1)
-		a.n[g]++
-	}
-}
-
-func (a *countErrAgg) result(g int) Value {
-	if a.n[g] == 0 {
-		return Null
-	}
-	return NewFloat(zScore90 * math.Sqrt(a.sum[g]))
-}
-
 // compileAgg builds the vectorized accumulator for one aggregate call,
 // declining whatever newAggregator would reject (so the row engine
 // reports the identical error) plus the shapes the kernels do not
-// cover (COUNT DISTINCT, non-numeric computed args).
+// cover (COUNT DISTINCT, non-numeric computed args, and the *_error
+// pseudo-aggregates, which run on the row engine only).
 func (vc *vecCompiler) compileAgg(f *sqlparse.FuncCall) (vecAgg, bool) {
 	switch f.Name {
 	case "count":
@@ -439,28 +339,6 @@ func (vc *vecCompiler) compileAgg(f *sqlparse.FuncCall) (vecAgg, bool) {
 			return nil, false
 		}
 		return &varAgg{arg: arg, isStd: f.Name == "stddev"}, true
-	case "sum_error", "avg_error":
-		if len(f.Args) != 2 {
-			return nil, false
-		}
-		val, ok := vc.compileNum(f.Args[0])
-		if !ok {
-			return nil, false
-		}
-		sf, ok := vc.compileNum(f.Args[1])
-		if !ok {
-			return nil, false
-		}
-		return &errAgg{val: val, sf: sf, isAvg: f.Name == "avg_error"}, true
-	case "count_error":
-		if len(f.Args) != 1 {
-			return nil, false
-		}
-		sf, ok := vc.compileNum(f.Args[0])
-		if !ok {
-			return nil, false
-		}
-		return &countErrAgg{sf: sf}, true
 	}
 	return nil, false
 }

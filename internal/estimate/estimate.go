@@ -6,7 +6,8 @@
 //
 // This is the direct, in-process estimation path; the SQL path through
 // the Section 5 rewriters produces the same numbers by executing
-// rewritten queries on the engine.
+// rewritten queries on the engine. Both take their confidence intervals
+// from internal/interval.
 package estimate
 
 import (
@@ -104,29 +105,6 @@ func RunCtx(ctx context.Context, st *sample.Stratified[engine.Row], q Query) ([]
 	return Finalize(partials, q.Agg, q.Confidence)
 }
 
-// fallbackHalfWidth is the defined half-width substituted for groups
-// whose CLT variance term is unavailable: a Hoeffding bound for the mean
-// over the observed value range. A group fed by a single row has a
-// degenerate (zero-width) range, so the range is floored at
-// max(|hi|, 1) — "the value could plausibly be off by its own
-// magnitude" — which keeps the bound positive and finite instead of the
-// 0 (false certainty) or +Inf (HoeffdingAvg's degenerate answer) the
-// raw formulas produce.
-func fallbackHalfWidth(n int, lo, hi, conf float64) float64 {
-	if n <= 0 {
-		n = 1
-	}
-	width := hi - lo
-	if !(width > 0) || math.IsInf(width, 0) {
-		width = math.Abs(hi)
-		if !(width >= 1) || math.IsInf(width, 0) {
-			width = 1
-		}
-	}
-	delta := 1 - conf
-	return width * math.Sqrt(math.Log(2/delta)/(2*float64(n)))
-}
-
 // HoeffdingAvg returns the Hoeffding half-width for an estimated mean of
 // n uniform samples of a quantity bounded in [lo, hi], at the given
 // confidence: (hi−lo)·sqrt(ln(2/δ)/(2n)).
@@ -152,47 +130,4 @@ func ChebyshevAvg(n int, s2, conf float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Sqrt(s2 / (float64(n) * delta))
-}
-
-// ZScore returns the two-sided normal critical value for the given
-// confidence level (e.g. 0.90 → 1.645, 0.95 → 1.960), computed with
-// Acklam's inverse-normal-CDF approximation (|relative error| < 1.15e-9).
-func ZScore(conf float64) float64 {
-	p := 0.5 + conf/2 // upper quantile
-	return normInv(p)
-}
-
-// normInv approximates the standard normal quantile function.
-func normInv(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return math.NaN()
-	}
-	// Coefficients for Acklam's rational approximation.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-		1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-		6.680131188771972e+01, -1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-		-2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-		3.754408661907416e+00}
-	const (
-		pLow  = 0.02425
-		pHigh = 1 - pLow
-	)
-	switch {
-	case p < pLow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= pHigh:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
 }

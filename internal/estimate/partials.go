@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"github.com/approxdb/congress/internal/engine"
+	"github.com/approxdb/congress/internal/interval"
 	"github.com/approxdb/congress/internal/sample"
 )
 
@@ -16,101 +16,24 @@ import (
 // cancellation poll per chunk (matches engine's vectorized chunk size).
 const gatherChunk = 4096
 
-// GroupPartial is the mergeable per-group state of one estimation scan.
-// Every field is either additive (sums, variances, counts) or combines
-// by min/max (Lo/Hi), so partials computed over disjoint sets of strata
-// — per-shard synopses, or any other partition — merge into exactly the
-// state a single scan over the union would have produced: sums of sums,
-// sums of variances. The confidence interval is taken once, after the
-// merge, by Finalize.
+// GroupPartial is the mergeable per-group state of one estimation scan:
+// the output group key plus the interval.Moments of every stratum that
+// maps to it. Partials computed over disjoint sets of strata — per-shard
+// synopses, or any other partition — merge into exactly the state a
+// single scan over the union would have produced. The confidence
+// interval is taken once, after the merge, by Finalize.
 //
 // Partials are confidence- and aggregate-independent: one scan serves
 // SUM, COUNT and AVG at any confidence level.
 type GroupPartial struct {
 	// Key is the output group key (see Query.GroupKey).
 	Key string
-	// N counts sampled rows that passed the predicate.
-	N int
-	// ScaledSum is Σ sf·v over passing rows (the expansion SUM estimate).
-	ScaledSum float64
-	// ScaledCount is Σ sf over passing rows (the expansion COUNT
-	// estimate).
-	ScaledCount float64
-	// SumVar accumulates the per-stratum SRSWOR variance contributions
-	// sf²·n·(1−1/sf)·s² used for the SUM bound.
-	SumVar float64
-	// CountVar is the Horvitz-Thompson count variance Σ sf·(sf−1),
-	// defined even for single-row strata.
-	CountVar float64
-	// HTSumVar is Σ sf·(sf−1)·v², the HT variance of the scaled sum
-	// under per-row inclusion probability 1/sf ((1−π)/π² = sf·(sf−1)).
-	HTSumVar float64
-	// HTSumCountCov is Σ sf·(sf−1)·v, the HT covariance between the
-	// scaled sum and the scaled count (the same rows drive both), needed
-	// by the ratio-estimator AVG bound.
-	HTSumCountCov float64
-	// Lo and Hi are the observed passing-value range, the input to the
-	// distribution-free Hoeffding fallbacks. An empty partial holds
-	// (+Inf, −Inf) so min/max merging is the identity.
-	Lo, Hi float64
-	// SparseN counts rows in sparse strata: strata contributing a single
-	// passing row at sf > 1, whose sample variance is undefined. The
-	// Hoeffding fallback is sized from this count — not from the group's
-	// total N, which let one sparse stratum hide behind a populous
-	// sibling with a vanishing half-width.
-	SparseN int
-	// SparseCount is Σ sf over sparse-strata rows: the slice of the
-	// group's scaled count the fallback must cover.
-	SparseCount float64
-	// ZeroN counts sampled rows in zero-contribution strata: strata
-	// whose rows all failed the predicate. Without this record the
-	// stratum would simply vanish, which a scatter-gather merge misreads
-	// as "no information" — a group present on shard A and predicate-
-	// empty on shard B must still merge to a defined bound.
-	ZeroN int
-	// ZeroScaled is the total population of zero-contribution strata at
-	// sf > 1 (a fully enumerated sf == 1 stratum with no passing rows
-	// contributes exactly zero, with certainty).
-	ZeroScaled float64
-	// ExactSum and ExactCount carry the hybrid estimator's exact portion:
-	// the group's SUM and non-null COUNT over base rows answered from a
-	// datacube measure prefix rather than the sample. Exact mass is a
-	// known constant, so it shifts the point estimate without adding
-	// variance — a group answered entirely exactly finalizes with a
-	// zero half-width. Both are additive across shards like every other
-	// field; a warehouse that answered from its cube contributes only
-	// exact mass, one that scanned its sample contributes only sampled
-	// mass, and the merge composes covered + residual portions.
-	ExactSum   float64
-	ExactCount float64
+	interval.Moments
 }
 
 // emptyPartial returns a zero-information partial for key.
 func emptyPartial(key string) GroupPartial {
-	return GroupPartial{Key: key, Lo: math.Inf(1), Hi: math.Inf(-1)}
-}
-
-// accumulate folds other into p (both must carry the same Key).
-func (p *GroupPartial) accumulate(other *GroupPartial) {
-	p.N += other.N
-	p.ScaledSum += other.ScaledSum
-	p.ScaledCount += other.ScaledCount
-	p.SumVar += other.SumVar
-	p.CountVar += other.CountVar
-	p.HTSumVar += other.HTSumVar
-	p.HTSumCountCov += other.HTSumCountCov
-	if other.Lo < p.Lo {
-		p.Lo = other.Lo
-	}
-	if other.Hi > p.Hi {
-		p.Hi = other.Hi
-	}
-	p.SparseN += other.SparseN
-	p.SparseCount += other.SparseCount
-	p.ZeroN += other.ZeroN
-	p.ZeroScaled += other.ZeroScaled
-	p.ExactSum += other.ExactSum
-	p.ExactCount += other.ExactCount
+	return GroupPartial{Key: key, Moments: interval.NewMoments()}
 }
 
 // Partials scans the stratified sample and returns per-group partials in
@@ -164,37 +87,10 @@ func PartialsCtx(ctx context.Context, st *sample.Stratified[engine.Row], q Query
 		if q.GroupKey != nil {
 			key = q.GroupKey(s.Items[0])
 		}
-		var (
-			n          int64
-			mean, m2   float64
-			passedSum  float64
-			passedCnt  float64
-			countVarTr float64
-			htSumVarTr float64
-			htCovTr    float64
-		)
-		sLo, sHi := math.Inf(1), math.Inf(-1)
-		// accumulate folds one passing value into the stratum state. Both
-		// scan paths below feed values through this single body in row
+		// Both scan paths below feed values through Stratum.Add in row
 		// order, so the float operation sequence — and therefore every
 		// estimate bit — is identical whichever path runs.
-		accumulate := func(v float64) {
-			n++
-			d := v - mean
-			mean += d / float64(n)
-			m2 += d * (v - mean)
-			passedSum += v * sf
-			passedCnt += sf
-			countVarTr += sf * (sf - 1)
-			htSumVarTr += sf * (sf - 1) * v * v
-			htCovTr += sf * (sf - 1) * v
-			if v < sLo {
-				sLo = v
-			}
-			if v > sHi {
-				sHi = v
-			}
-		}
+		acc := interval.NewStratum(sf)
 		if q.ValueIndex != nil {
 			// Columnar path: gather the aggregate column chunk by chunk
 			// with one cancellation poll per chunk instead of a closure
@@ -212,7 +108,7 @@ func PartialsCtx(ctx context.Context, st *sample.Stratified[engine.Row], q Query
 				gvals, goks = engine.AppendColumnFloats(items[lo:hi], ci, gvals[:0], goks[:0])
 				for i, v := range gvals {
 					if goks[i] {
-						accumulate(v)
+						acc.Add(v)
 					}
 				}
 			}
@@ -228,47 +124,22 @@ func PartialsCtx(ctx context.Context, st *sample.Stratified[engine.Row], q Query
 				if !ok {
 					continue
 				}
-				accumulate(v)
+				acc.Add(v)
 			}
 		}
-		if n == 0 {
+		c := cell(key)
+		if acc.N() == 0 {
 			// Zero-contribution stratum: every sampled row failed the
 			// predicate. The group's partial records it explicitly so a
 			// merge (and Finalize) can widen the bound for the unsampled
 			// population instead of treating absence as certainty.
-			c := cell(key)
 			c.ZeroN += len(s.Items)
 			if sf > 1 {
 				c.ZeroScaled += float64(s.Population)
 			}
 			continue
 		}
-		c := cell(key)
-		c.N += int(n)
-		c.ScaledSum += passedSum
-		c.ScaledCount += passedCnt
-		c.CountVar += countVarTr
-		c.HTSumVar += htSumVarTr
-		c.HTSumCountCov += htCovTr
-		if sLo < c.Lo {
-			c.Lo = sLo
-		}
-		if sHi > c.Hi {
-			c.Hi = sHi
-		}
-		if n >= 2 {
-			s2 := m2 / float64(n-1)
-			c.SumVar += sf * sf * float64(n) * (1 - 1/sf) * s2
-		} else if sf > 1 {
-			// A single sampled row at sf > 1 has no defined sample
-			// variance — the s2 term above would divide by n-1 = 0.
-			// Record the stratum's own row count and scaled mass so the
-			// fallback half-width is sized from the sparse strata alone.
-			// sf == 1 with one row really is the whole stratum, so a
-			// zero contribution is correct there.
-			c.SparseN++
-			c.SparseCount += passedCnt
-		}
+		c.AddStratum(&acc)
 	}
 
 	out := make([]GroupPartial, 0, len(order))
@@ -294,7 +165,7 @@ func MergePartials(parts ...[]GroupPartial) []GroupPartial {
 				merged[p.Key] = &cp
 				continue
 			}
-			m.accumulate(p)
+			m.Merge(&p.Moments)
 		}
 	}
 	keys := make([]string, 0, len(merged))
@@ -317,40 +188,17 @@ func MergePartials(parts ...[]GroupPartial) []GroupPartial {
 // semantics; their information still mattered during the merge, where
 // they widened the bounds of groups that do appear.
 //
-// Bounds per aggregate, at confidence conf with critical value z:
-//
-//   - SUM: z·sqrt(SumVar), plus Hoeffding fallbacks for the sparse
-//     strata (sized by SparseN, weighted by SparseCount) and the
-//     zero-contribution strata (sized by ZeroN, weighted by ZeroScaled).
-//   - COUNT: z·sqrt(CountVar) plus the zero-stratum fallback over the
-//     indicator range [0,1].
-//   - AVG: the ratio-estimator (delta-method) variance
-//     (HTSumVar − 2R·HTSumCountCov + R²·CountVar)/ScaledCount², which
-//     accounts for the variance of the estimated denominator and its
-//     covariance with the numerator — algebraically Σ sf(sf−1)(v−R)²,
-//     guaranteed non-negative — plus the sparse fallback weighted by the
-//     sparse strata's share of the scaled count, plus the zero-stratum
-//     fallback weighted by the zero strata's unsampled mass relative to
-//     the observed scaled count: a group that is predicate-empty on one
-//     shard must report a wider AVG than one that is not.
-//
-// Hybrid (exact + sample) partials: ExactSum/ExactCount mass is a known
-// constant, so it adds to the point estimate and contributes zero
-// variance. For SUM and COUNT the half-width is unchanged (it covers
-// only the sampled portion); for AVG the denominator grows to
-// ScaledCount + ExactCount, which strictly shrinks both the delta-method
-// term and the fallback weights — hybrid bounds are never wider than
-// pure-sample bounds on the same partials, and a group answered entirely
-// exactly (N == 0, ExactCount > 0) finalizes with half-width exactly 0.
+// The value and half-width of each group are interval.Moments' Sum,
+// Count or Avg at confidence (0 means interval.DefaultConfidence) — the
+// same functions the SQL engine's error columns call.
 func Finalize(partials []GroupPartial, agg Aggregate, confidence float64) ([]GroupEstimate, error) {
 	conf := confidence
 	if conf == 0 {
-		conf = 0.90
+		conf = interval.DefaultConfidence
 	}
 	if conf <= 0 || conf >= 1 {
 		return nil, fmt.Errorf("estimate: confidence %v out of (0,1)", conf)
 	}
-	z := ZScore(conf)
 
 	out := make([]GroupEstimate, 0, len(partials))
 	for i := range partials {
@@ -361,62 +209,16 @@ func Finalize(partials []GroupPartial, agg Aggregate, confidence float64) ([]Gro
 		ge := GroupEstimate{Key: c.Key, SampleN: c.N}
 		switch agg {
 		case Sum:
-			ge.Value = c.ExactSum + c.ScaledSum
-			ge.Bound = z * math.Sqrt(c.SumVar)
-			if c.SparseN > 0 {
-				ge.Bound += fallbackHalfWidth(c.SparseN, c.Lo, c.Hi, conf) * c.SparseCount
-			}
-			if c.ZeroScaled > 0 {
-				ge.Bound += fallbackHalfWidth(c.ZeroN, c.Lo, c.Hi, conf) * c.ZeroScaled
-			}
+			ge.Value, ge.Bound = c.Sum(conf)
 		case Count:
-			// The Horvitz-Thompson count variance sf·(sf−1) per row is
-			// defined even for single-row strata; no sparse fallback
-			// needed. Zero-contribution strata still widen the bound:
-			// their pass indicator is bounded in [0,1].
-			ge.Value = c.ExactCount + c.ScaledCount
-			ge.Bound = z * math.Sqrt(c.CountVar)
-			if c.ZeroScaled > 0 {
-				ge.Bound += fallbackHalfWidth(c.ZeroN, 0, 1, conf) * c.ZeroScaled
-			}
+			ge.Value, ge.Bound = c.Count(conf)
 		case Avg:
-			// The hybrid denominator is the exact non-null count plus the
-			// estimated one; with no exact mass this is the pure-sample
-			// ratio estimator unchanged.
-			total := c.ScaledCount + c.ExactCount
-			if total == 0 {
+			var ok bool
+			if ge.Value, ge.Bound, ok = c.Avg(conf); !ok {
 				continue
-			}
-			r := (c.ExactSum + c.ScaledSum) / total
-			ge.Value = r
-			// The delta-method variance of (E + Ŝ)/(C_e + Ĉ) keeps only the
-			// random terms (Ŝ, Ĉ): Var(Ŝ) − 2R·Cov(Ŝ,Ĉ) + R²·Var(Ĉ), all
-			// divided by total². The quadratic in R is Σ sf(sf−1)(v−R)² for
-			// any R, so it stays non-negative with the hybrid ratio too.
-			varR := c.HTSumVar - 2*r*c.HTSumCountCov + r*r*c.CountVar
-			if varR < 0 {
-				varR = 0 // floating-point residue; the form is a sum of squares
-			}
-			ge.Bound = z * math.Sqrt(varR) / total
-			if c.SparseN > 0 {
-				ge.Bound += fallbackHalfWidth(c.SparseN, c.Lo, c.Hi, conf) * (c.SparseCount / total)
-			}
-			if c.ZeroScaled > 0 {
-				// Zero-contribution strata hold ZeroScaled population rows
-				// whose passing values — if any exist — were never observed.
-				// Shifting the ratio by that unseen mass moves the AVG by at
-				// most halfWidth·(ZeroScaled/total); without this term a
-				// predicate-empty shard reported the same AVG half-width as
-				// a fully observed group.
-				ge.Bound += fallbackHalfWidth(c.ZeroN, c.Lo, c.Hi, conf) * (c.ZeroScaled / total)
 			}
 		default:
 			return nil, fmt.Errorf("estimate: unknown aggregate %v", agg)
-		}
-		// Bounds must serialize as valid JSON through /v1/query; clamp
-		// any residual non-finite half-width to "no information".
-		if math.IsNaN(ge.Bound) || math.IsInf(ge.Bound, 0) {
-			ge.Bound = math.MaxFloat64
 		}
 		out = append(out, ge)
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"github.com/approxdb/congress/internal/interval"
 )
 
 // GroupPartial is the wire format of distributed scatter-gather: shard
@@ -143,8 +145,7 @@ func (p *GroupPartial) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
-	*p = GroupPartial{
-		Key:           w.Key,
+	*p = GroupPartial{Key: w.Key, Moments: interval.Moments{
 		N:             w.N,
 		ScaledSum:     float64(w.ScaledSum),
 		ScaledCount:   float64(w.ScaledCount),
@@ -160,7 +161,7 @@ func (p *GroupPartial) UnmarshalJSON(b []byte) error {
 		ZeroScaled:    float64(w.ZeroScaled),
 		ExactSum:      orZero(w.ExactSum),
 		ExactCount:    orZero(w.ExactCount),
-	}
+	}}
 	return nil
 }
 

@@ -15,6 +15,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"github.com/approxdb/congress/internal/interval"
 )
 
 // wireCodecs are the two encodings of []GroupPartial; every round-trip
@@ -52,11 +54,17 @@ var wireCodecs = []struct {
 // anyone remembering to list it here.
 func partialsBitEqual(t *testing.T, a, b GroupPartial) {
 	t.Helper()
-	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	fieldsBitEqual(t, reflect.ValueOf(a), reflect.ValueOf(b), a, b)
+}
+
+func fieldsBitEqual(t *testing.T, va, vb reflect.Value, a, b GroupPartial) {
+	t.Helper()
 	for i := 0; i < va.NumField(); i++ {
 		name := va.Type().Field(i).Name
 		fa, fb := va.Field(i), vb.Field(i)
 		switch fa.Kind() {
+		case reflect.Struct: // the embedded interval.Moments
+			fieldsBitEqual(t, fa, fb, a, b)
 		case reflect.String, reflect.Int:
 			if !fa.Equal(fb) {
 				t.Fatalf("%s diverged: %v != %v\n  a=%+v\n  b=%+v", name, fa, fb, a, b)
@@ -85,19 +93,27 @@ func slicesBitEqual(t *testing.T, a, b []GroupPartial) {
 func fillPartial(t *testing.T, str func(i int) string, num func(i int) int, flt func(i int) float64) GroupPartial {
 	t.Helper()
 	var p GroupPartial
-	v := reflect.ValueOf(&p).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		switch f := v.Field(i); f.Kind() {
-		case reflect.String:
-			f.SetString(str(i))
-		case reflect.Int:
-			f.SetInt(int64(num(i)))
-		case reflect.Float64:
-			f.SetFloat(flt(i))
-		default:
-			t.Fatalf("GroupPartial.%s has kind %s, which the wire tests do not know how to fill", v.Type().Field(i).Name, f.Kind())
+	i := 0 // running index over the leaf fields, so each gets its own value
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		for j := 0; j < v.NumField(); j++ {
+			switch f := v.Field(j); f.Kind() {
+			case reflect.Struct: // the embedded interval.Moments
+				fill(f)
+				continue
+			case reflect.String:
+				f.SetString(str(i))
+			case reflect.Int:
+				f.SetInt(int64(num(i)))
+			case reflect.Float64:
+				f.SetFloat(flt(i))
+			default:
+				t.Fatalf("GroupPartial.%s has kind %s, which the wire tests do not know how to fill", v.Type().Field(j).Name, f.Kind())
+			}
+			i++
 		}
 	}
+	fill(reflect.ValueOf(&p).Elem())
 	return p
 }
 
@@ -155,7 +171,7 @@ func TestPartialWireRoundTripRandom(t *testing.T) {
 // TestPartialWireNegativeZeroExact pins the hybrid fields' sign bit: they
 // were tagged omitempty, and −0 counts as empty.
 func TestPartialWireNegativeZeroExact(t *testing.T) {
-	in := GroupPartial{Key: "g", ExactSum: math.Copysign(0, -1), ExactCount: math.Copysign(0, -1)}
+	in := GroupPartial{Key: "g", Moments: interval.Moments{ExactSum: math.Copysign(0, -1), ExactCount: math.Copysign(0, -1)}}
 	for _, c := range wireCodecs {
 		t.Run(c.name, func(t *testing.T) {
 			partialsBitEqual(t, in, c.ship(t, []GroupPartial{in})[0])
@@ -171,7 +187,7 @@ func TestPartialWireNonFinite(t *testing.T) {
 	empty := emptyPartial("ghost")
 	empty.ZeroN = 7
 	empty.ZeroScaled = 1234.5
-	nan := GroupPartial{Key: "n", Lo: math.NaN(), Hi: math.Inf(1), ScaledSum: math.Inf(-1)}
+	nan := GroupPartial{Key: "n", Moments: interval.Moments{Lo: math.NaN(), Hi: math.Inf(1), ScaledSum: math.Inf(-1)}}
 	in := []GroupPartial{empty, nan}
 	for _, c := range wireCodecs {
 		t.Run(c.name, func(t *testing.T) {
@@ -185,7 +201,7 @@ func TestPartialWireNonFinite(t *testing.T) {
 // range to include 0 — and one without the hybrid fields (a pre-hybrid
 // shard) decodes them as zero.
 func TestPartialWireDefaults(t *testing.T) {
-	p := GroupPartial{ExactSum: 1, ExactCount: 1}
+	p := GroupPartial{Moments: interval.Moments{ExactSum: 1, ExactCount: 1}}
 	if err := json.Unmarshal([]byte(`{"key":"g","n":3}`), &p); err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +221,14 @@ func TestPartialWireDefaults(t *testing.T) {
 // distributed coordinator's core invariant.
 func TestPartialWireMergeEquivalence(t *testing.T) {
 	shardA := []GroupPartial{
-		{Key: "g1", N: 10, ScaledSum: 123.456, ScaledCount: 20, SumVar: 1.5, Lo: 1, Hi: 9},
+		{Key: "g1", Moments: interval.Moments{N: 10, ScaledSum: 123.456, ScaledCount: 20, SumVar: 1.5, Lo: 1, Hi: 9}},
 		emptyPartial("g2"),
 	}
 	shardA[1].ZeroN = 4
 	shardA[1].ZeroScaled = 400
 	shardB := []GroupPartial{
-		{Key: "g2", N: 5, ScaledSum: 50, ScaledCount: 5, Lo: 9.5, Hi: 10.5, HTSumVar: 2.25},
-		{Key: "g3", ExactSum: 77.25, ExactCount: 3, Lo: math.Inf(1), Hi: math.Inf(-1)},
+		{Key: "g2", Moments: interval.Moments{N: 5, ScaledSum: 50, ScaledCount: 5, Lo: 9.5, Hi: 10.5, HTSumVar: 2.25}},
+		{Key: "g3", Moments: interval.Moments{ExactSum: 77.25, ExactCount: 3, Lo: math.Inf(1), Hi: math.Inf(-1)}},
 	}
 	local := MergePartials(shardA, shardB)
 	for _, c := range wireCodecs {
@@ -241,10 +257,10 @@ func sampleFrameParts() []GroupPartial {
 	ghost := emptyPartial("R\x1fO")
 	ghost.ZeroN, ghost.ZeroScaled = 2, 40
 	return []GroupPartial{
-		{Key: "A\x1fF", N: 17, ScaledSum: 1234.5, ScaledCount: 240, SumVar: 9.25, CountVar: 3,
-			HTSumVar: 2.5, HTSumCountCov: -1.5, Lo: 1, Hi: 50, SparseN: 1, SparseCount: 14},
+		{Key: "A\x1fF", Moments: interval.Moments{N: 17, ScaledSum: 1234.5, ScaledCount: 240, SumVar: 9.25, CountVar: 3,
+			HTSumVar: 2.5, HTSumCountCov: -1.5, Lo: 1, Hi: 50, SparseN: 1, SparseCount: 14}},
 		ghost,
-		{Key: "", ExactSum: math.Copysign(0, -1), ExactCount: 3, Lo: math.Inf(1), Hi: math.Inf(-1)},
+		{Key: "", Moments: interval.Moments{ExactSum: math.Copysign(0, -1), ExactCount: 3, Lo: math.Inf(1), Hi: math.Inf(-1)}},
 	}
 }
 
@@ -386,9 +402,9 @@ func BenchmarkPartialsCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	parts := make([]GroupPartial, 1000)
 	for i := range parts {
-		parts[i] = GroupPartial{Key: "A\x1fF\x1f1994-01-01", N: rng.Intn(40), ScaledSum: rng.Float64() * 1e6,
+		parts[i] = GroupPartial{Key: "A\x1fF\x1f1994-01-01", Moments: interval.Moments{N: rng.Intn(40), ScaledSum: rng.Float64() * 1e6,
 			ScaledCount: rng.Float64() * 1e3, SumVar: rng.Float64(), CountVar: rng.Float64(),
-			HTSumVar: rng.Float64(), HTSumCountCov: rng.Float64(), Lo: rng.Float64(), Hi: 50 * rng.Float64()}
+			HTSumVar: rng.Float64(), HTSumCountCov: rng.Float64(), Lo: rng.Float64(), Hi: 50 * rng.Float64()}}
 	}
 	frame := EncodePartials(parts, 1)
 	doc, err := json.Marshal(parts)

@@ -72,7 +72,8 @@ type Tables struct {
 	GIDCol string
 	// WithErrorColumns appends an Aqua error-bound pseudo-aggregate for
 	// each rewritten aggregate (Figure 2's sum_error column). Supported
-	// for Integrated only.
+	// for Integrated only, and requires GroupCols: the error aggregates
+	// key their strata by the full grouping.
 	WithErrorColumns bool
 }
 
@@ -157,105 +158,6 @@ func cloneStmt(stmt *sqlparse.SelectStmt) *sqlparse.SelectStmt {
 	return &out
 }
 
-// mapAggregates rebuilds an expression tree, replacing each aggregate
-// call with fn's result. Non-aggregate structure is rebuilt so the
-// original tree is never mutated.
-func mapAggregates(e sqlparse.Expr, fn func(*sqlparse.FuncCall) (sqlparse.Expr, error)) (sqlparse.Expr, error) {
-	switch n := e.(type) {
-	case nil:
-		return nil, nil
-	case *sqlparse.ColumnRef, *sqlparse.Literal:
-		return n, nil
-	case *sqlparse.BinaryExpr:
-		l, err := mapAggregates(n.Left, fn)
-		if err != nil {
-			return nil, err
-		}
-		r, err := mapAggregates(n.Right, fn)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparse.BinaryExpr{Op: n.Op, Left: l, Right: r}, nil
-	case *sqlparse.UnaryExpr:
-		in, err := mapAggregates(n.Expr, fn)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparse.UnaryExpr{Op: n.Op, Expr: in}, nil
-	case *sqlparse.BetweenExpr:
-		x, err := mapAggregates(n.Expr, fn)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := mapAggregates(n.Lo, fn)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := mapAggregates(n.Hi, fn)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparse.BetweenExpr{Expr: x, Lo: lo, Hi: hi, Not: n.Not}, nil
-	case *sqlparse.InExpr:
-		x, err := mapAggregates(n.Expr, fn)
-		if err != nil {
-			return nil, err
-		}
-		list := make([]sqlparse.Expr, len(n.List))
-		for i, item := range n.List {
-			li, err := mapAggregates(item, fn)
-			if err != nil {
-				return nil, err
-			}
-			list[i] = li
-		}
-		return &sqlparse.InExpr{Expr: x, List: list, Not: n.Not}, nil
-	case *sqlparse.IsNullExpr:
-		x, err := mapAggregates(n.Expr, fn)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparse.IsNullExpr{Expr: x, Not: n.Not}, nil
-	case *sqlparse.CaseExpr:
-		op, err := mapAggregates(n.Operand, fn)
-		if err != nil {
-			return nil, err
-		}
-		whens := make([]sqlparse.WhenClause, len(n.Whens))
-		for i, w := range n.Whens {
-			c, err := mapAggregates(w.Cond, fn)
-			if err != nil {
-				return nil, err
-			}
-			r, err := mapAggregates(w.Result, fn)
-			if err != nil {
-				return nil, err
-			}
-			whens[i] = sqlparse.WhenClause{Cond: c, Result: r}
-		}
-		els, err := mapAggregates(n.Else, fn)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparse.CaseExpr{Operand: op, Whens: whens, Else: els}, nil
-	case *sqlparse.FuncCall:
-		if sqlparse.AggregateFuncs[n.Name] {
-			return fn(n)
-		}
-		args := make([]sqlparse.Expr, len(n.Args))
-		for i, a := range n.Args {
-			ai, err := mapAggregates(a, fn)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ai
-		}
-		return &sqlparse.FuncCall{Name: n.Name, Args: args, Star: n.Star, Distinct: n.Distinct}, nil
-	default:
-		return nil, fmt.Errorf("rewrite: unsupported expression %T", e)
-	}
-}
-
 // col builds an unqualified column reference.
 func col(name string) *sqlparse.ColumnRef { return &sqlparse.ColumnRef{Name: name} }
 
@@ -295,32 +197,43 @@ func integratedAgg(f *sqlparse.FuncCall, sf func() sqlparse.Expr) (sqlparse.Expr
 }
 
 // errorAggFor builds the Aqua error-bound companion aggregate for f, or
-// nil if none applies.
-func errorAggFor(f *sqlparse.FuncCall, sfName string) sqlparse.Expr {
+// nil if none applies: sum_error(v, sf, G…), avg_error(v, sf, G…) or
+// count_error(sf, G…). The synopsis's full grouping G, which every
+// sample row carries, names each row's stratum.
+func errorAggFor(f *sqlparse.FuncCall, t Tables) sqlparse.Expr {
+	var args []sqlparse.Expr
 	switch f.Name {
-	case "sum":
-		return &sqlparse.FuncCall{Name: "sum_error", Args: []sqlparse.Expr{f.Args[0], col(sfName)}}
+	case "sum", "avg":
+		args = []sqlparse.Expr{f.Args[0], col(t.sfCol())}
 	case "count":
-		return &sqlparse.FuncCall{Name: "count_error", Args: []sqlparse.Expr{col(sfName)}}
-	case "avg":
-		return &sqlparse.FuncCall{Name: "avg_error", Args: []sqlparse.Expr{f.Args[0], col(sfName)}}
+		args = []sqlparse.Expr{col(t.sfCol())}
 	default:
 		return nil
 	}
+	for _, g := range t.GroupCols {
+		args = append(args, col(g))
+	}
+	return &sqlparse.FuncCall{Name: f.Name + "_error", Args: args}
 }
+
+// sameCol is the identity column mapping for mapExpr.
+func sameCol(c *sqlparse.ColumnRef) sqlparse.Expr { return c }
 
 // rewriteIntegrated implements Figure 8 (and, with WithErrorColumns,
 // Figure 2's error-annotated form).
 func rewriteIntegrated(stmt *sqlparse.SelectStmt, t Tables) (*sqlparse.SelectStmt, error) {
+	if t.WithErrorColumns && len(t.GroupCols) == 0 {
+		return nil, fmt.Errorf("rewrite: error columns need the synopsis grouping columns")
+	}
 	out := cloneStmt(stmt)
 	out.From = []sqlparse.TableRef{{Name: t.Sample}}
 	sf := func() sqlparse.Expr { return col(t.sfCol()) }
 
 	var errorItems []sqlparse.SelectItem
 	for i, item := range out.Select {
-		e, err := mapAggregates(item.Expr, func(f *sqlparse.FuncCall) (sqlparse.Expr, error) {
+		e, err := mapExpr(item.Expr, sameCol, func(f *sqlparse.FuncCall) (sqlparse.Expr, error) {
 			if t.WithErrorColumns {
-				if ea := errorAggFor(f, t.sfCol()); ea != nil {
+				if ea := errorAggFor(f, t); ea != nil {
 					errorItems = append(errorItems, sqlparse.SelectItem{
 						Expr:  ea,
 						Alias: fmt.Sprintf("error%d", len(errorItems)+1),
@@ -336,7 +249,7 @@ func rewriteIntegrated(stmt *sqlparse.SelectStmt, t Tables) (*sqlparse.SelectStm
 	}
 	out.Select = append(out.Select, errorItems...)
 	if out.Having != nil {
-		h, err := mapAggregates(out.Having, func(f *sqlparse.FuncCall) (sqlparse.Expr, error) {
+		h, err := mapExpr(out.Having, sameCol, func(f *sqlparse.FuncCall) (sqlparse.Expr, error) {
 			return integratedAgg(f, sf)
 		})
 		if err != nil {
@@ -345,7 +258,7 @@ func rewriteIntegrated(stmt *sqlparse.SelectStmt, t Tables) (*sqlparse.SelectStm
 		out.Having = h
 	}
 	for i, o := range out.OrderBy {
-		e, err := mapAggregates(o.Expr, func(f *sqlparse.FuncCall) (sqlparse.Expr, error) {
+		e, err := mapExpr(o.Expr, sameCol, func(f *sqlparse.FuncCall) (sqlparse.Expr, error) {
 			return integratedAgg(f, sf)
 		})
 		if err != nil {
@@ -425,21 +338,21 @@ func rewriteNestedIntegrated(stmt *sqlparse.SelectStmt, t Tables) (*sqlparse.Sel
 		outer.GroupBy = append(outer.GroupBy, col(gc.Name))
 	}
 	for _, item := range stmt.Select {
-		e, err := mapAggregates(item.Expr, outerAgg)
+		e, err := mapExpr(item.Expr, sameCol, outerAgg)
 		if err != nil {
 			return nil, err
 		}
 		outer.Select = append(outer.Select, sqlparse.SelectItem{Expr: e, Alias: item.Alias})
 	}
 	if stmt.Having != nil {
-		h, err := mapAggregates(stmt.Having, outerAgg)
+		h, err := mapExpr(stmt.Having, sameCol, outerAgg)
 		if err != nil {
 			return nil, err
 		}
 		outer.Having = h
 	}
 	for _, o := range stmt.OrderBy {
-		e, err := mapAggregates(o.Expr, outerAgg)
+		e, err := mapExpr(o.Expr, sameCol, outerAgg)
 		if err != nil {
 			return nil, err
 		}

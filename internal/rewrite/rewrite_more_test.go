@@ -8,8 +8,8 @@ import (
 )
 
 // TestRewritePredicateShapes drives every expression-node kind through
-// the Normalized qualifier (mapExpr) and the Integrated aggregate
-// mapper (mapAggregates).
+// the Normalized qualifier and the Integrated aggregate mapper (both
+// mapExpr).
 func TestRewritePredicateShapes(t *testing.T) {
 	q := `select l_returnflag,
 		sum(case when l_quantity > 5 then l_quantity else 0 end),
@@ -69,7 +69,8 @@ func TestRewriteIntegratedErrorColumnsForCountAvg(t *testing.T) {
 	tbl := testTables
 	tbl.WithErrorColumns = true
 	s := mustRewrite(t, "select count(*), avg(l_quantity) from lineitem", Integrated, tbl)
-	if !strings.Contains(s, "COUNT_ERROR(sf)") || !strings.Contains(s, "AVG_ERROR(l_quantity, sf)") {
+	if !strings.Contains(s, "COUNT_ERROR(sf, l_returnflag, l_linestatus)") ||
+		!strings.Contains(s, "AVG_ERROR(l_quantity, sf, l_returnflag, l_linestatus)") {
 		t.Errorf("error columns missing: %s", s)
 	}
 	// min/max contribute no error column.

@@ -49,8 +49,14 @@ func TestIntegratedWithErrorColumns(t *testing.T) {
 	tbl := testTables
 	tbl.WithErrorColumns = true
 	s := mustRewrite(t, userQuery, Integrated, tbl)
-	if !strings.Contains(s, "SUM_ERROR(l_quantity, sf) AS error1") {
+	if !strings.Contains(s, "SUM_ERROR(l_quantity, sf, l_returnflag, l_linestatus) AS error1") {
 		t.Errorf("missing error column: %s", s)
+	}
+	// The error aggregates key strata by the synopsis grouping, so they
+	// cannot be built without it.
+	tbl.GroupCols = nil
+	if _, err := Rewrite(sqlparse.MustParse(userQuery), Integrated, tbl); err == nil {
+		t.Error("error columns without grouping columns accepted")
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/approxdb/congress/internal/estimate"
+	"github.com/approxdb/congress/internal/interval"
 )
 
 // replyJSON writes body the way the server's writeJSON does: streamed
@@ -26,7 +27,7 @@ func replyJSON(w http.ResponseWriter, body any) {
 func somePartials(n int) []estimate.GroupPartial {
 	parts := make([]estimate.GroupPartial, n)
 	for i := range parts {
-		parts[i] = estimate.GroupPartial{Key: fmt.Sprintf("g%04d", i), N: i, ScaledSum: float64(i) * 1.5, Lo: 1, Hi: 2}
+		parts[i] = estimate.GroupPartial{Key: fmt.Sprintf("g%04d", i), Moments: interval.Moments{N: i, ScaledSum: float64(i) * 1.5, Lo: 1, Hi: 2}}
 	}
 	return parts
 }

@@ -165,8 +165,8 @@ const (
 // keeps the default bound, < 0 disables result caching entirely.
 // maxBytes: 0 keeps the default bound, < 0 removes the byte bound.
 // Reconfiguring replaces the cache, so previously cached answers are
-// dropped. The parse and plan caches are unaffected — they hold pure
-// derivations of the query text and never need invalidation.
+// dropped. The parse cache is unaffected — it holds pure derivations
+// of the query text and never needs invalidation.
 func (w *Warehouse) ConfigureCache(maxEntries int, maxBytes int64) {
 	entries := maxEntries
 	switch {
@@ -547,8 +547,8 @@ func (w *Warehouse) Approx(sql string) (*Result, error) {
 	return w.aq.Answer(sql)
 }
 
-// ApproxQuery is the full cached read path: the query is parsed and
-// rewritten through the plan cache and answered through the result cache
+// ApproxQuery is the full cached read path: the query is parsed through
+// the parse cache, rewritten, and answered through the result cache
 // (unless disabled or opts.NoCache), reporting whether the answer was a
 // cache hit. Concurrent identical misses share one execution. The
 // returned Result may be shared with other callers and must be treated
@@ -561,11 +561,6 @@ func (w *Warehouse) ApproxQuery(ctx context.Context, sql string, opts ApproxOpti
 	})
 }
 
-// ApproxWith answers approximately using an explicit rewrite strategy.
-func (w *Warehouse) ApproxWith(sql string, strat RewriteStrategy) (*Result, error) {
-	return w.aq.AnswerWith(sql, strat)
-}
-
 // Explain returns the rewritten SQL a strategy would execute, without
 // running it.
 func (w *Warehouse) Explain(sql string, strat RewriteStrategy) (string, error) {
@@ -575,19 +570,19 @@ func (w *Warehouse) Explain(sql string, strat RewriteStrategy) (string, error) {
 // Estimate answers a query directly from a table's stratified sample
 // without SQL, returning per-group estimates with confidence bounds.
 // grouping selects the output grouping columns (a subset of the
-// synopsis's GroupBy); agg and aggCol pick the operator and the
-// aggregated column; confidence 0 means 90%. Multi-column group keys
-// join the rendered values with EstimateKeySep; split them back with
-// SplitEstimateKey. It is EstimateQueryOpts with a background context
-// and default options.
+// synopsis's GroupBy; empty for one group keyed ""); agg and aggCol
+// pick the operator and the aggregated column; confidence 0 means 90%.
+// Multi-column group keys join the rendered values with EstimateKeySep;
+// split them back with SplitEstimateKey. It is EstimateQueryOpts with a
+// background context and default options.
 func (w *Warehouse) Estimate(table string, grouping []string, agg estimate.Aggregate, aggCol string, confidence float64) ([]estimate.GroupEstimate, error) {
 	ests, _, err := w.EstimateQueryOpts(context.Background(), table, grouping, agg, aggCol, confidence, ApproxOptions{})
 	return ests, err
 }
 
 // EstimateQueryOpts is Estimate under a context and through the result
-// cache: the deadline or cancellation is observed inside the per-row
-// estimation loop, and estimate sets are memoized under the synopsis's
+// cache: the deadline or cancellation is observed inside the sample
+// scan, and estimate sets are memoized under the synopsis's
 // data epoch exactly like SQL answers, so repeated dashboards hitting
 // the same (table, grouping, aggregate) tuple skip the sample scan until
 // the data changes. opts.NoCache skips the result cache and
@@ -645,46 +640,30 @@ func (w *Warehouse) EstimateQueryOpts(ctx context.Context, table string, groupin
 }
 
 // estimatePlan resolves a direct-estimation request against the
-// warehouse: the table's synopsis plus an estimate.Query whose closures
-// read the grouping ordinals and aggregate column resolved once, up
-// front, and those resolved ordinals themselves (the hybrid path hands
-// them to Synopsis.ExactPartials). Agg and Confidence stay zero: a
-// partials scan ignores them.
-func (w *Warehouse) estimatePlan(table string, grouping []string, aggCol string) (*aqua.Synopsis, estimate.Query, []int, int, error) {
+// warehouse: the table's synopsis plus the row ordinals of the grouping
+// columns and the aggregate column — the one request shape both
+// Synopsis.ExactPartials and estimate.PartialsCtx take. An empty
+// grouping is the no-group-by query: one group, keyed "".
+func (w *Warehouse) estimatePlan(table string, grouping []string, aggCol string) (*aqua.Synopsis, []int, int, error) {
 	syn, ok := w.aq.Synopsis(table)
 	if !ok {
-		return nil, estimate.Query{}, nil, -1, fmt.Errorf("%w %q", ErrNoSynopsis, table)
+		return nil, nil, -1, fmt.Errorf("%w %q", ErrNoSynopsis, table)
 	}
 	rel, ok := w.cat.Lookup(table)
 	if !ok {
-		return nil, estimate.Query{}, nil, -1, fmt.Errorf("congress: synopsis for %q exists but its base relation is gone from the catalog", table)
+		return nil, nil, -1, fmt.Errorf("congress: synopsis for %q exists but its base relation is gone from the catalog", table)
 	}
-	// Validate the grouping columns against the schema up front, and
-	// resolve their ordinals once — not per sampled row.
-	g, err := core.NewGrouping(rel.Schema, grouping)
-	if err != nil {
-		return nil, estimate.Query{}, nil, -1, fmt.Errorf("%w: %v", ErrBadQuery, err)
+	cols := make([]int, len(grouping))
+	for i, name := range grouping {
+		if cols[i] = rel.Schema.Index(name); cols[i] < 0 {
+			return nil, nil, -1, fmt.Errorf("%w: unknown grouping column %q", ErrBadQuery, name)
+		}
 	}
-	cols := g.Columns()
 	ci := rel.Schema.Index(aggCol)
 	if ci < 0 {
-		return nil, estimate.Query{}, nil, -1, fmt.Errorf("%w: unknown aggregate column %q", ErrBadQuery, aggCol)
+		return nil, nil, -1, fmt.Errorf("%w: unknown aggregate column %q", ErrBadQuery, aggCol)
 	}
-	return syn, estimate.Query{
-		GroupKey: func(row Row) string {
-			parts := make([]string, 0, len(cols))
-			for _, c := range cols {
-				parts = append(parts, row[c].String())
-			}
-			return joinParts(parts)
-		},
-		Value: func(row Row) (float64, bool) {
-			return row[ci].AsFloat()
-		},
-		// The value closure above is a bare column read, so the scan may
-		// gather the column in batches instead of calling it per row.
-		ValueIndex: &ci,
-	}, cols, ci, nil
+	return syn, cols, ci, nil
 }
 
 // GroupPartial re-exports the mergeable per-group estimation state a
@@ -717,7 +696,7 @@ type PartialsOptions struct {
 // (uncovered) mass contributes interval width.
 func (w *Warehouse) EstimatePartialsOpts(ctx context.Context, table string, grouping []string, aggCol string, opts PartialsOptions) ([]GroupPartial, error) {
 	start := time.Now()
-	syn, q, cols, ci, err := w.estimatePlan(table, grouping, aggCol)
+	syn, cols, ci, err := w.estimatePlan(table, grouping, aggCol)
 	if err != nil {
 		return nil, err
 	}
@@ -729,7 +708,7 @@ func (w *Warehouse) EstimatePartialsOpts(ctx context.Context, table string, grou
 		}
 		w.aq.Telemetry().HybridFallback()
 	}
-	parts, err := estimate.PartialsCtx(ctx, syn.Sample(), q)
+	parts, err := estimate.PartialsCtx(ctx, syn.Sample(), cols, ci)
 	if err == nil {
 		// Each scatter-gather leg counts as one estimate scan on its
 		// shard, so the merged Metrics() reflect fan-out work.

@@ -1,6 +1,7 @@
 package congress
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -78,7 +79,7 @@ func TestApproxWithAllStrategies(t *testing.T) {
 	q := `select region, product, count(*) from sales group by region, product order by region, product`
 	var first *Result
 	for _, strat := range []RewriteStrategy{Integrated, NestedIntegrated, Normalized, KeyNormalized} {
-		res, err := w.ApproxWith(q, strat)
+		res, _, err := w.ApproxQuery(context.Background(), q, ApproxOptions{Rewrite: strat, UseRewrite: true})
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}

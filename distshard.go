@@ -90,12 +90,6 @@ type RemoteShard struct {
 // predates the binary frame (or something between strips Accept).
 var wireEncodings = [...]string{"json", "binary"}
 
-// Endpoint returns the shard process's base URL.
-func (rs *RemoteShard) Endpoint() string { return rs.endpoint }
-
-// Client returns the underlying API client (diagnostics, tests).
-func (rs *RemoteShard) Client() *client.Client { return rs.c }
-
 // mapShardError classifies one leg failure: terminal errors are mapped
 // onto the package's typed sentinels (so errors.Is classification works
 // across the process boundary exactly as in-process), transient ones

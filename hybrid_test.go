@@ -2,91 +2,137 @@ package congress
 
 import (
 	"context"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
+	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/estimate"
 	"github.com/approxdb/congress/internal/tpcd"
 )
 
-// hybridTruth computes the exact per-region SUM/COUNT/AVG of amount via
-// the SQL engine (group key = rendered region value).
-func hybridTruth(t *testing.T, w *Warehouse) map[string][3]float64 {
+// hybridTruth computes the exact SUM/COUNT/AVG of amount under grouping
+// via the SQL engine, keyed like an estimate (rendered values joined by
+// EstimateKeySep; "" for the empty grouping). A group whose amount is
+// entirely NULL has no estimate, so it has no truth either.
+func hybridTruth(t *testing.T, w *Warehouse, grouping []string) map[string][3]float64 {
 	t.Helper()
-	res, err := w.Query(`select region, sum(amount), count(*), avg(amount) from sales group by region`)
+	q := "select sum(amount), count(amount), avg(amount) from sales"
+	if len(grouping) > 0 {
+		cols := strings.Join(grouping, ", ")
+		q = "select " + cols + ", sum(amount), count(amount), avg(amount) from sales group by " + cols
+	}
+	res, err := w.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	truth := make(map[string][3]float64, len(res.Rows))
 	for _, r := range res.Rows {
-		s, _ := r[1].AsFloat()
-		c, _ := r[2].AsFloat()
-		a, _ := r[3].AsFloat()
-		truth[r[0].String()] = [3]float64{s, c, a}
+		parts := make([]string, len(grouping))
+		for i := range parts {
+			parts[i] = r[i].String()
+		}
+		n := len(grouping)
+		s, ok := r[n].AsFloat()
+		if !ok {
+			continue
+		}
+		c, _ := r[n+1].AsFloat()
+		a, _ := r[n+2].AsFloat()
+		truth[joinParts(parts)] = [3]float64{s, c, a}
 	}
 	return truth
+}
+
+// estimateKeys returns the sorted group keys of ests.
+func estimateKeys(ests []GroupEstimate) []string {
+	keys := make([]string, len(ests))
+	for i, e := range ests {
+		keys[i] = e.Key
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // TestHybridEstimateAnswersExactByDefault: with a fresh exact datacube
 // covering the request, the default estimate path must return the exact
 // SQL answer with a zero half-width and no sampled rows, while NoHybrid
 // forces the pure-sample estimator — and the two modes must cache under
-// distinct keys.
+// distinct keys. Over the empty grouping and both orders of a
+// two-column one, the cube's keys and the sample scan's keys must be the
+// same set, and a group whose amount is entirely NULL is absent from
+// both.
 func TestHybridEstimateAnswersExactByDefault(t *testing.T) {
-	w, _ := buildSalesWarehouse(t)
+	w, tbl := buildSalesWarehouse(t)
+	for i := 0; i < 40; i++ {
+		if err := tbl.Insert(Str("void"), Str("ink"), engine.Null); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := w.BuildSynopsis(SynopsisSpec{
 		Table: "sales", GroupBy: []string{"region", "product"}, Space: 500, Seed: 3,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	truth := hybridTruth(t, w)
 	ctx := context.Background()
 
 	aggs := []struct {
 		agg Aggregate
 		ti  int
 	}{{Sum, 0}, {Count, 1}, {Avg, 2}}
-	for _, a := range aggs {
-		ests, status, err := w.EstimateQueryOpts(ctx, "sales", []string{"region"}, a.agg, "amount", 0.95, ApproxOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if status != CacheMiss {
-			t.Errorf("%v: first hybrid estimate cache status %v, want miss", a.agg, status)
-		}
-		if len(ests) != len(truth) {
-			t.Fatalf("%v: %d groups, want %d", a.agg, len(ests), len(truth))
-		}
-		for _, e := range ests {
-			want := truth[e.Key][a.ti]
-			if e.Bound != 0 || e.SampleN != 0 {
-				t.Errorf("%v %q: bound %v sampleN %d, want exact (0, 0)", a.agg, e.Key, e.Bound, e.SampleN)
+	groupings := [][]string{nil, {"region"}, {"product", "region"}, {"region", "product"}}
+	for _, g := range groupings {
+		truth := hybridTruth(t, w, g)
+		for _, a := range aggs {
+			ests, status, err := w.EstimateQueryOpts(ctx, "sales", g, a.agg, "amount", 0.95, ApproxOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if relDiff(e.Value, want) > 1e-9 {
-				t.Errorf("%v %q: hybrid value %v != exact %v", a.agg, e.Key, e.Value, want)
+			if status != CacheMiss {
+				t.Errorf("%v %v: first hybrid estimate cache status %v, want miss", g, a.agg, status)
 			}
-		}
-		// Same request again: served from cache under the hybrid key.
-		if _, status, err = w.EstimateQueryOpts(ctx, "sales", []string{"region"}, a.agg, "amount", 0.95, ApproxOptions{}); err != nil || status != CacheHit {
-			t.Errorf("%v: repeat hybrid estimate (%v, %v), want cache hit", a.agg, status, err)
-		}
-		// NoHybrid must not alias the hybrid cache entry and must come
-		// from the sample.
-		sampled, status, err := w.EstimateQueryOpts(ctx, "sales", []string{"region"}, a.agg, "amount", 0.95, ApproxOptions{NoHybrid: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if status != CacheMiss {
-			t.Errorf("%v: first NoHybrid estimate cache status %v, want miss (distinct key)", a.agg, status)
-		}
-		for _, e := range sampled {
-			if e.SampleN == 0 {
-				t.Errorf("%v %q: NoHybrid estimate has no sampled rows", a.agg, e.Key)
+			if len(ests) != len(truth) {
+				t.Fatalf("%v %v: %d groups, want %d", g, a.agg, len(ests), len(truth))
+			}
+			for _, e := range ests {
+				want, ok := truth[e.Key]
+				if !ok {
+					t.Fatalf("%v %v: group %q has no truth", g, a.agg, e.Key)
+				}
+				if e.Bound != 0 || e.SampleN != 0 {
+					t.Errorf("%v %v %q: bound %v sampleN %d, want exact (0, 0)", g, a.agg, e.Key, e.Bound, e.SampleN)
+				}
+				if relDiff(e.Value, want[a.ti]) > 1e-9 {
+					t.Errorf("%v %v %q: hybrid value %v != exact %v", g, a.agg, e.Key, e.Value, want[a.ti])
+				}
+			}
+			// Same request again: served from cache under the hybrid key.
+			if _, status, err = w.EstimateQueryOpts(ctx, "sales", g, a.agg, "amount", 0.95, ApproxOptions{}); err != nil || status != CacheHit {
+				t.Errorf("%v %v: repeat hybrid estimate (%v, %v), want cache hit", g, a.agg, status, err)
+			}
+			// NoHybrid must not alias the hybrid cache entry and must come
+			// from the sample.
+			sampled, status, err := w.EstimateQueryOpts(ctx, "sales", g, a.agg, "amount", 0.95, ApproxOptions{NoHybrid: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status != CacheMiss {
+				t.Errorf("%v %v: first NoHybrid estimate cache status %v, want miss (distinct key)", g, a.agg, status)
+			}
+			for _, e := range sampled {
+				if e.SampleN == 0 {
+					t.Errorf("%v %v %q: NoHybrid estimate has no sampled rows", g, a.agg, e.Key)
+				}
+			}
+			if hk, sk := estimateKeys(ests), estimateKeys(sampled); !slices.Equal(hk, sk) {
+				t.Errorf("%v %v: hybrid keys %q != sampled keys %q", g, a.agg, hk, sk)
 			}
 		}
 	}
 	m := w.Metrics()
-	if m.HybridExact != int64(len(aggs)) {
-		t.Errorf("HybridExact = %d, want %d (one per uncached hybrid estimate)", m.HybridExact, len(aggs))
+	if want := int64(len(aggs) * len(groupings)); m.HybridExact != want {
+		t.Errorf("HybridExact = %d, want %d (one per uncached hybrid estimate)", m.HybridExact, want)
 	}
 	if m.HybridFallback != 0 {
 		t.Errorf("HybridFallback = %d, want 0", m.HybridFallback)
@@ -150,7 +196,7 @@ func TestHybridStaleEpochGuard(t *testing.T) {
 
 	// An insert re-feeds the cube and re-syncs the epoch: hybrid answers
 	// come back and must include the new row.
-	truthBefore := hybridTruth(t, w)["east"][0]
+	truthBefore := hybridTruth(t, w, []string{"region"})["east"][0]
 	if err := tbl.Insert(Str("east"), Str("pen"), F(1000)); err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +362,7 @@ func TestHybridPersistenceRoundTrip(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		want := hybridTruth(t, w)
+		want := hybridTruth(t, w, []string{"region"})
 		if err := w.EnablePersistence(dir, PersistOptions{}); err != nil {
 			t.Fatal(err)
 		}

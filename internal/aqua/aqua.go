@@ -84,14 +84,14 @@ type Aqua struct {
 	cat *engine.Catalog
 	tel *metrics.Telemetry
 
-	// parse and plans memoize query parsing and per-strategy rewriting;
-	// both are pure functions of the query text (plus the synopsis
-	// relation names), so they need no invalidation. results is the
+	// parse memoizes query parsing, a pure function of the query text,
+	// so it needs no invalidation; it is what lets a result-cache hit
+	// skip the parse, since the result key holds the fingerprint.
+	// Rewriting runs on every miss. results is the
 	// epoch-invalidated answer cache — nil (off) unless a warehouse
 	// front-end opts in via EnableResultCache, so experiment harnesses
 	// measuring scan cost through Answer are never silently cached.
 	parse   *sqlparse.ParseCache
-	plans   *rewrite.PlanCache
 	results atomic.Pointer[qcache.Cache]
 
 	mu       sync.RWMutex
@@ -103,8 +103,7 @@ func New(cat *engine.Catalog) *Aqua {
 	return &Aqua{
 		cat:      cat,
 		tel:      metrics.NewTelemetry(),
-		parse:    sqlparse.NewParseCache(defaultPlanEntries),
-		plans:    rewrite.NewPlanCache(defaultPlanEntries),
+		parse:    sqlparse.NewParseCache(defaultParseEntries),
 		synopses: make(map[string]*Synopsis),
 	}
 }
@@ -662,11 +661,11 @@ func (a *Aqua) AnswerWith(query string, strat rewrite.Strategy) (*engine.Result,
 // RewriteOnly returns the rewritten SQL without executing it (for
 // inspection and the CLI's EXPLAIN-style mode).
 func (a *Aqua) RewriteOnly(query string, strat rewrite.Strategy) (string, error) {
-	s, stmt, fp, err := a.route(query)
+	s, stmt, _, err := a.route(query)
 	if err != nil {
 		return "", err
 	}
-	out, err := a.plans.Rewrite(stmt, fp, strat, s.Tables(strat))
+	out, err := rewrite.Rewrite(stmt, strat, s.Tables(strat))
 	if err != nil {
 		return "", err
 	}
@@ -693,7 +692,7 @@ func (a *Aqua) ExactCtx(ctx context.Context, query string) (*engine.Result, erro
 // route parses (through the parse cache) and resolves the target
 // synopsis. The returned statement is shared with other callers of the
 // same query text and must not be modified; the fingerprint is the
-// normalized cache key for the plan and result caches.
+// normalized key of the result cache.
 func (a *Aqua) route(query string) (*Synopsis, *sqlparse.SelectStmt, string, error) {
 	stmt, fp, err := a.parse.Parse(query)
 	if err != nil {
@@ -709,8 +708,8 @@ func (a *Aqua) route(query string) (*Synopsis, *sqlparse.SelectStmt, string, err
 	return s, stmt, fp, nil
 }
 
-func (a *Aqua) answer(ctx context.Context, s *Synopsis, stmt *sqlparse.SelectStmt, fp string, strat rewrite.Strategy) (*engine.Result, error) {
-	rewritten, err := a.plans.Rewrite(stmt, fp, strat, s.Tables(strat))
+func (a *Aqua) answer(ctx context.Context, s *Synopsis, stmt *sqlparse.SelectStmt, strat rewrite.Strategy) (*engine.Result, error) {
+	rewritten, err := rewrite.Rewrite(stmt, strat, s.Tables(strat))
 	if err != nil {
 		return nil, err
 	}

@@ -10,10 +10,10 @@ import (
 	"github.com/approxdb/congress/internal/rewrite"
 )
 
-// defaultPlanEntries bounds the parse and plan caches. Plans are tiny
-// (an AST each), so the bound exists only to cap pathological workloads
-// that never repeat a query text.
-const defaultPlanEntries = 4096
+// defaultParseEntries bounds the parse cache. Entries are tiny (an AST
+// each), so the bound exists only to cap pathological workloads that
+// never repeat a query text.
+const defaultParseEntries = 4096
 
 // CacheStatus reports how an answer was produced relative to the result
 // cache.
@@ -73,7 +73,7 @@ func (a *Aqua) ResultCache() *qcache.Cache {
 }
 
 // AnswerQuery answers an approximate query through the full cached read
-// path: parse cache, plan cache, and — when enabled and not bypassed —
+// path: parse cache, rewrite, and — when enabled and not bypassed —
 // the result cache. The returned Result may be shared with concurrent
 // callers of the same query and must be treated as read-only.
 //
@@ -93,7 +93,7 @@ func (a *Aqua) AnswerQuery(ctx context.Context, query string, opts QueryOptions)
 	}
 	rc := a.ResultCache()
 	if rc == nil || opts.NoCache {
-		res, err := a.answer(ctx, s, stmt, fp, strat)
+		res, err := a.answer(ctx, s, stmt, strat)
 		if err == nil {
 			a.tel.ObserveAnswer(time.Since(start))
 		}
@@ -101,7 +101,7 @@ func (a *Aqua) AnswerQuery(ctx context.Context, query string, opts QueryOptions)
 	}
 	key := resultKey(s, strat, fp)
 	v, hit, err := rc.Do(ctx, key, func() (any, int64, error) {
-		res, err := a.answer(ctx, s, stmt, fp, strat)
+		res, err := a.answer(ctx, s, stmt, strat)
 		if err != nil {
 			return nil, 0, err
 		}

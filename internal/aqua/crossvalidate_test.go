@@ -1,11 +1,13 @@
 package aqua
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"github.com/approxdb/congress/internal/core"
+	"github.com/approxdb/congress/internal/datacube"
 	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/estimate"
 	"github.com/approxdb/congress/internal/sample"
@@ -17,7 +19,7 @@ import (
 // SQL path through Integrated rewriting must produce identical SUM,
 // COUNT, and AVG values from the same sample — and, with error columns
 // on, identical 90 % half-widths: every error column equals
-// estimate.Run's Bound within 1e-9 relative, for every allocation
+// the estimate path's Bound within 1e-9 relative, for every allocation
 // strategy and for groupings from the coarsest to the finest.
 func TestEstimatePathMatchesSQLPath(t *testing.T) {
 	groupings := [][]string{
@@ -38,6 +40,7 @@ func TestEstimatePathMatchesSQLPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		qtyIdx := rel.Schema.Index("l_quantity")
+		ctx := context.Background()
 
 		for _, cols := range groupings {
 			idx := make([]int, len(cols))
@@ -71,21 +74,14 @@ func TestEstimatePathMatchesSQLPath(t *testing.T) {
 					if !ok {
 						t.Fatalf("%v %v %v: error column %v", strat, cols, agg, row[len(cols)+1])
 					}
-					sqlVals[strings.Join(keys, "|")] = answer{v, b}
+					sqlVals[strings.Join(keys, datacube.KeySep)] = answer{v, b}
 				}
 
-				ests, err := estimate.Run(s.Sample(), estimate.Query{
-					GroupKey: func(row engine.Row) string {
-						keys := make([]string, len(idx))
-						for i, c := range idx {
-							keys[i] = row[c].String()
-						}
-						return strings.Join(keys, "|")
-					},
-					Value:      func(row engine.Row) (float64, bool) { return row[qtyIdx].AsFloat() },
-					Agg:        agg,
-					Confidence: 0.90,
-				})
+				parts, err := estimate.PartialsCtx(ctx, s.Sample(), idx, qtyIdx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ests, err := estimate.Finalize(parts, agg, 0.90)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -101,14 +101,6 @@ func (s *Synopsis) syncExactEpoch(e uint64) {
 	}
 }
 
-// ExactCoverage reports whether the synopsis currently holds a fresh
-// exact cube (diagnostics and tests).
-func (s *Synopsis) ExactCoverage() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.exact != nil && s.exactEpoch.Load() == s.epoch.Load()
-}
-
 // ExactPartials answers a direct-estimation request entirely from the
 // exact cube: one GroupPartial per non-empty group carrying only exact
 // mass (ExactSum, ExactCount), which Finalize turns into zero-width

@@ -104,9 +104,6 @@ type Batch struct {
 // NumRows returns the number of rows in the batch.
 func (b *Batch) NumRows() int { return b.n }
 
-// NumCols returns the number of columns in the batch.
-func (b *Batch) NumCols() int { return len(b.cols) }
-
 // Rows returns the row snapshot the batch was built from. Shared, not
 // copied; callers must treat it as immutable.
 func (b *Batch) Rows() []Row { return b.rows }
@@ -222,9 +219,8 @@ func (b *Batch) fillColumn(ci int) {
 // AppendColumnFloats gathers column col of rows into parallel value and
 // validity slices, appending to vals and ok (pass vals[:0], ok[:0] to
 // reuse scratch). ok[i] is false exactly when rows[i][col].AsFloat
-// reports not-ok (NULL or non-numeric), matching the per-row semantics
-// of estimate.Query.Value closures. This is the gather kernel the
-// estimate package's columnar scan uses.
+// reports not-ok (NULL or non-numeric). This is the gather kernel the
+// estimate package's scan uses.
 func AppendColumnFloats(rows []Row, col int, vals []float64, ok []bool) ([]float64, []bool) {
 	for _, r := range rows {
 		f, k := r[col].AsFloat()

@@ -65,11 +65,9 @@ func (e *rowEnv) resolve(table, name string) (int, error) {
 // one row (and, inside grouped queries, the already-computed aggregate
 // values for the current group).
 type evalCtx struct {
-	env    *rowEnv
-	row    Row
-	aggs   map[string]Value // aggregate expr rendering -> value
-	params []Value
-	nParam int
+	env  *rowEnv
+	row  Row
+	aggs map[string]Value // aggregate expr rendering -> value
 }
 
 func (ctx *evalCtx) eval(e sqlparse.Expr) (Value, error) {

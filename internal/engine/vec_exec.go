@@ -27,9 +27,6 @@ func init() { vecEnabled.Store(true) }
 // test to force both engines over identical statements.
 func SetVectorized(on bool) bool { return vecEnabled.Swap(on) }
 
-// Vectorized reports whether the vectorized path is enabled.
-func Vectorized() bool { return vecEnabled.Load() }
-
 // ExecCounts returns the process-wide counts of statements executed by
 // the vectorized path and by the row-engine fallback (statements with a
 // FROM clause only; recursively executed derived tables count each

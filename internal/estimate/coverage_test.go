@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,8 +33,8 @@ func TestAvgBoundCoverageRatioEstimator(t *testing.T) {
 		trials  = 400
 		conf    = 0.90
 	)
-	// Row layout: [stratum tag int, row id int]. Expensive rows (tag 0)
-	// pass when id%10 < 3; cheap rows (tag 1) always pass.
+	// Expensive rows (tag 0) pass when id%10 < 3; cheap rows (tag 1)
+	// always pass. Row layout: [measure], NULL where the row fails.
 	value := func(tag, i int) float64 {
 		if tag == 0 {
 			return 1000 + float64(i%5)
@@ -41,6 +42,12 @@ func TestAvgBoundCoverageRatioEstimator(t *testing.T) {
 		return 10 + float64(i%3)
 	}
 	passes := func(tag, i int) bool { return tag != 0 || i%10 < 3 }
+	row := func(tag, i int) engine.Row {
+		if !passes(tag, i) {
+			return engine.Row{engine.Null}
+		}
+		return engine.Row{engine.NewFloat(value(tag, i))}
+	}
 
 	var trueSum, trueCnt float64
 	for i := 0; i < expPop; i++ {
@@ -53,16 +60,10 @@ func TestAvgBoundCoverageRatioEstimator(t *testing.T) {
 	for i := range enumItems {
 		trueSum += value(1, i)
 		trueCnt++
-		enumItems[i] = engine.Row{engine.NewInt(1), engine.NewInt(int64(i))}
+		enumItems[i] = row(1, i)
 	}
 	trueAvg := trueSum / trueCnt
 
-	q := Query{
-		Value: func(row engine.Row) (float64, bool) {
-			tag, i := int(row[0].I), int(row[1].I)
-			return value(tag, i), passes(tag, i)
-		},
-	}
 	z := ZScore(conf)
 	rng := rand.New(rand.NewSource(20260808))
 	coveredNew, coveredOld := 0, 0
@@ -70,13 +71,13 @@ func TestAvgBoundCoverageRatioEstimator(t *testing.T) {
 		idx := sample.SampleWithoutReplacement(expPop, expDraw, rng)
 		items := make([]engine.Row, len(idx))
 		for j, i := range idx {
-			items[j] = engine.Row{engine.NewInt(0), engine.NewInt(int64(i))}
+			items[j] = row(0, i)
 		}
 		st := sample.NewStratified[engine.Row]()
 		st.Put(&sample.Stratum[engine.Row]{Key: "exp", Population: expPop, Items: items})
 		st.Put(&sample.Stratum[engine.Row]{Key: "enum", Population: enumN, Items: enumItems})
 
-		parts, err := Partials(st, q)
+		parts, err := PartialsCtx(context.Background(), st, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +133,8 @@ func TestAvgZeroStratumBoundCoverage(t *testing.T) {
 		conf   = 0.90
 	)
 	// Stratum B: rows with id%10 == 0 pass, values in [90, 100] — inside
-	// A's observed range, as the Hoeffding fallback requires.
+	// A's observed range, as the Hoeffding fallback requires. Row
+	// layout: [measure], NULL where the row fails.
 	bPasses := func(i int) bool { return i%10 == 0 }
 	bVal := func(i int) float64 { return 90 + float64(i%11) }
 
@@ -142,7 +144,7 @@ func TestAvgZeroStratumBoundCoverage(t *testing.T) {
 		v := float64(i % 101) // spans [0, 100]
 		trueSum += v
 		trueCnt++
-		enumItems[i] = engine.Row{engine.NewInt(0), engine.NewInt(int64(i))}
+		enumItems[i] = engine.Row{engine.NewFloat(v)}
 	}
 	for i := 0; i < bPop; i++ {
 		if bPasses(i) {
@@ -152,15 +154,6 @@ func TestAvgZeroStratumBoundCoverage(t *testing.T) {
 	}
 	trueAvg := trueSum / trueCnt
 
-	q := Query{
-		Value: func(row engine.Row) (float64, bool) {
-			tag, i := int(row[0].I), int(row[1].I)
-			if tag == 0 {
-				return float64(i % 101), true
-			}
-			return bVal(i), bPasses(i)
-		},
-	}
 	z := ZScore(conf)
 	rng := rand.New(rand.NewSource(99))
 	coveredNew, coveredOld, zeroTrials := 0, 0, 0
@@ -168,13 +161,16 @@ func TestAvgZeroStratumBoundCoverage(t *testing.T) {
 		idx := sample.SampleWithoutReplacement(bPop, bDraw, rng)
 		items := make([]engine.Row, len(idx))
 		for j, i := range idx {
-			items[j] = engine.Row{engine.NewInt(1), engine.NewInt(int64(i))}
+			items[j] = engine.Row{engine.Null}
+			if bPasses(i) {
+				items[j] = engine.Row{engine.NewFloat(bVal(i))}
+			}
 		}
 		st := sample.NewStratified[engine.Row]()
 		st.Put(&sample.Stratum[engine.Row]{Key: "a", Population: enumN, Items: enumItems})
 		st.Put(&sample.Stratum[engine.Row]{Key: "b", Population: bPop, Items: items})
 
-		parts, err := Partials(st, q)
+		parts, err := PartialsCtx(context.Background(), st, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +249,6 @@ func TestSparseStratumBoundCoverage(t *testing.T) {
 	}
 	trueSum := enumSum + sparseSum
 
-	q := Query{Value: func(row engine.Row) (float64, bool) { return row[0].F, true }}
 	z := ZScore(conf)
 	rng := rand.New(rand.NewSource(42))
 	coveredNew, coveredOld := 0, 0
@@ -263,7 +258,7 @@ func TestSparseStratumBoundCoverage(t *testing.T) {
 		st.Put(&sample.Stratum[engine.Row]{Key: "b", Population: sparsePop,
 			Items: []engine.Row{{engine.NewFloat(sparseVal(rng.Intn(sparsePop)))}}})
 
-		parts, err := Partials(st, q)
+		parts, err := PartialsCtx(context.Background(), st, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -29,15 +30,22 @@ func twoStratumSample() *sample.Stratified[engine.Row] {
 	return st
 }
 
-func valueCol(row engine.Row) (float64, bool) { return row[1].F, true }
-func groupCol(row engine.Row) string          { return row[0].S }
+// Row ordinals of the [group, value] layout most fixtures here build.
+var byGroup = []int{0}
+
+const valueCol = 1
+
+// run is the single-warehouse estimate: PartialsCtx followed by Finalize.
+func run(st *sample.Stratified[engine.Row], groupCols []int, valueCol int, agg Aggregate, conf float64) ([]GroupEstimate, error) {
+	parts, err := PartialsCtx(context.Background(), st, groupCols, valueCol)
+	if err != nil {
+		return nil, err
+	}
+	return Finalize(parts, agg, conf)
+}
 
 func TestRunSumPerGroup(t *testing.T) {
-	ests, err := Run(twoStratumSample(), Query{
-		GroupKey: groupCol,
-		Value:    valueCol,
-		Agg:      Sum,
-	})
+	ests, err := run(twoStratumSample(), byGroup, valueCol, Sum, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +66,7 @@ func TestRunSumPerGroup(t *testing.T) {
 }
 
 func TestRunCountAndAvg(t *testing.T) {
-	ests, err := Run(twoStratumSample(), Query{GroupKey: groupCol, Value: valueCol, Agg: Count})
+	ests, err := run(twoStratumSample(), byGroup, valueCol, Count, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +82,7 @@ func TestRunCountAndAvg(t *testing.T) {
 			}
 		}
 	}
-	ests, err = Run(twoStratumSample(), Query{GroupKey: groupCol, Value: valueCol, Agg: Avg})
+	ests, err = run(twoStratumSample(), byGroup, valueCol, Avg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +94,7 @@ func TestRunCountAndAvg(t *testing.T) {
 }
 
 func TestRunNoGroupBy(t *testing.T) {
-	ests, err := Run(twoStratumSample(), Query{Value: valueCol, Agg: Sum})
+	ests, err := run(twoStratumSample(), nil, valueCol, Sum, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +107,12 @@ func TestRunNoGroupBy(t *testing.T) {
 }
 
 func TestRunPredicate(t *testing.T) {
-	ests, err := Run(twoStratumSample(), Query{
-		GroupKey: groupCol,
-		Value: func(row engine.Row) (float64, bool) {
-			v := row[1].F
-			return v, v >= 10 // excludes g2's only tuple
-		},
-		Agg: Sum,
-	})
+	// The predicate v >= 10 excludes g2's only tuple; a row that fails a
+	// predicate reaches the scan with a NULL measure.
+	st := twoStratumSample()
+	g2, _ := st.Get("g2")
+	g2.Items[0][valueCol] = engine.Null
+	ests, err := run(st, byGroup, valueCol, Sum, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +122,10 @@ func TestRunPredicate(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(twoStratumSample(), Query{Agg: Sum}); err == nil {
-		t.Error("nil Value accepted")
-	}
-	if _, err := Run(twoStratumSample(), Query{Value: valueCol, Confidence: 1.5}); err == nil {
+	if _, err := run(twoStratumSample(), nil, valueCol, Sum, 1.5); err == nil {
 		t.Error("confidence > 1 accepted")
 	}
-	if _, err := Run(twoStratumSample(), Query{Value: valueCol, Agg: Aggregate(9)}); err == nil {
+	if _, err := run(twoStratumSample(), nil, valueCol, Aggregate(9), 0); err == nil {
 		t.Error("unknown aggregate accepted")
 	}
 }
@@ -130,7 +133,7 @@ func TestRunValidation(t *testing.T) {
 func TestRunEmptyStratumSkipped(t *testing.T) {
 	st := twoStratumSample()
 	st.Put(&sample.Stratum[engine.Row]{Key: "empty", Population: 1000})
-	ests, err := Run(st, Query{GroupKey: groupCol, Value: valueCol, Agg: Sum})
+	ests, err := run(st, byGroup, valueCol, Sum, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +193,7 @@ func TestChebyshevAvg(t *testing.T) {
 }
 
 // TestBoundCoverage runs a Monte-Carlo coverage check: the 90% CLT bound
-// from Run should contain the true sum in roughly >= 85% of trials.
+// from run should contain the true sum in roughly >= 85% of trials.
 func TestBoundCoverage(t *testing.T) {
 	// Population: one group of 2000 values 0..1999; sample 200 without
 	// replacement each trial.
@@ -206,7 +209,7 @@ func TestBoundCoverage(t *testing.T) {
 			items = append(items, engine.Row{engine.NewString("g"), engine.NewFloat(float64(v))})
 		}
 		st.Put(&sample.Stratum[engine.Row]{Key: "g", Population: 2000, Items: items})
-		ests, err := Run(st, Query{Value: valueCol, Agg: Sum})
+		ests, err := run(st, nil, valueCol, Sum, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

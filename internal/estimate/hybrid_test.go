@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -48,7 +49,6 @@ func TestHybridBoundCoverage(t *testing.T) {
 	}
 	trueAvg := trueSum / pop
 
-	q := Query{Value: func(row engine.Row) (float64, bool) { return row[0].F, true }}
 	rng := rand.New(rand.NewSource(20260808))
 	for _, conf := range []float64{0.90, 0.95} {
 		// Allow ~3 standard errors of simulation noise below nominal.
@@ -69,7 +69,7 @@ func TestHybridBoundCoverage(t *testing.T) {
 				}
 				st := sample.NewStratified[engine.Row]()
 				st.Put(&sample.Stratum[engine.Row]{Key: "res", Population: int64(resPop), Items: items})
-				sampled, err := Partials(st, q)
+				sampled, err := PartialsCtx(context.Background(), st, nil, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -154,15 +154,9 @@ func TestHybridBoundCoverage(t *testing.T) {
 // deployments (and the 1e-9 sharded differentials built on them) see no
 // drift at all.
 func TestMergeHybridNoExactMassBitIdentical(t *testing.T) {
-	st := synthSample(23, 90)
-	q := Query{
-		GroupKey: groupCol,
-		Value: func(row engine.Row) (float64, bool) {
-			v := row[1].F
-			return v, v > 120 // leave some sparse and zero-contribution strata
-		},
-	}
-	parts, err := Partials(st, q)
+	// The predicate leaves some sparse and zero-contribution strata.
+	st := synthSample(23, 90, func(v float64) bool { return v > 120 })
+	parts, err := PartialsCtx(context.Background(), st, byGroup, valueCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +249,6 @@ func TestMergeNearCancellingAvgVarianceClamp(t *testing.T) {
 		}
 		return &sample.Stratum[engine.Row]{Key: key, Population: pop, Items: items}
 	}
-	q := Query{GroupKey: groupCol, Value: valueCol, Agg: Avg}
 	full := sample.NewStratified[engine.Row]()
 	primes := []int64{10007, 20011, 30011, 40009, 50021, 60013, 70001, 80021}
 	for i, p := range primes {
@@ -266,7 +259,7 @@ func TestMergeNearCancellingAvgVarianceClamp(t *testing.T) {
 		lists := make([][]GroupPartial, len(parts))
 		for i, p := range parts {
 			var err error
-			if lists[i], err = Partials(p, q); err != nil {
+			if lists[i], err = PartialsCtx(context.Background(), p, byGroup, valueCol); err != nil {
 				t.Fatal(err)
 			}
 		}

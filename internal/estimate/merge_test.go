@@ -15,8 +15,10 @@ import (
 
 // synthSample builds a many-strata stratified sample with varied scale
 // factors, multi-stratum groups and a value column, deterministically
-// from seed. Row layout: [group string, value float].
-func synthSample(seed int64, strata int) *sample.Stratified[engine.Row] {
+// from seed. Row layout: [group string, value float]. A value that
+// fails keep (a predicate; nil keeps all) is drawn but stored as NULL,
+// which is how a row failing a predicate reaches the scan.
+func synthSample(seed int64, strata int, keep func(float64) bool) *sample.Stratified[engine.Row] {
 	rng := rand.New(rand.NewSource(seed))
 	st := sample.NewStratified[engine.Row]()
 	for i := 0; i < strata; i++ {
@@ -26,10 +28,11 @@ func synthSample(seed int64, strata int) *sample.Stratified[engine.Row] {
 		items := make([]engine.Row, n)
 		base := rng.Float64() * 1000
 		for j := range items {
-			items[j] = engine.Row{
-				engine.NewString(group),
-				engine.NewFloat(base + rng.NormFloat64()*25),
+			v := engine.NewFloat(base + rng.NormFloat64()*25)
+			if keep != nil && !keep(v.F) {
+				v = engine.Null
 			}
+			items[j] = engine.Row{engine.NewString(group), v}
 		}
 		st.Put(&sample.Stratum[engine.Row]{
 			Key: fmt.Sprintf("s-%04d", i), Population: pop, Items: items,
@@ -71,19 +74,11 @@ func relDiff(a, b float64) float64 {
 // the single-scan estimate — same groups, same values, same bounds —
 // for every aggregate, at K in {2, 4, 8}.
 func TestMergeReproducesSingleScan(t *testing.T) {
-	st := synthSample(17, 120)
-	q := Query{
-		GroupKey: groupCol,
-		Value: func(row engine.Row) (float64, bool) {
-			// Predicate with value dependence, so some strata contribute
-			// zero-contribution or sparse records.
-			v := row[1].F
-			return v, v > 150
-		},
-	}
+	// Predicate with value dependence, so some strata contribute
+	// zero-contribution or sparse records.
+	st := synthSample(17, 120, func(v float64) bool { return v > 150 })
 	for _, agg := range []Aggregate{Sum, Count, Avg} {
-		q.Agg = agg
-		single, err := Run(st, q)
+		single, err := run(st, byGroup, valueCol, agg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +89,7 @@ func TestMergeReproducesSingleScan(t *testing.T) {
 			parts := partitionByRouter(t, st, k)
 			lists := make([][]GroupPartial, k)
 			for i, p := range parts {
-				lists[i], err = Partials(p, q)
+				lists[i], err = PartialsCtx(context.Background(), p, byGroup, valueCol)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -134,10 +129,15 @@ func TestMergeReproducesSingleScan(t *testing.T) {
 // those strata — the zero-contribution record travels with the
 // partials and widens the SUM/COUNT bounds.
 func TestMergeAbsentGroupSemantics(t *testing.T) {
+	// The predicate is v > 0; a failing row carries a NULL measure.
 	mk := func(key, group string, pop int64, vals ...float64) *sample.Stratum[engine.Row] {
 		items := make([]engine.Row, len(vals))
 		for i, v := range vals {
-			items[i] = engine.Row{engine.NewString(group), engine.NewFloat(v)}
+			m := engine.NewFloat(v)
+			if v <= 0 {
+				m = engine.Null
+			}
+			items[i] = engine.Row{engine.NewString(group), m}
 		}
 		return &sample.Stratum[engine.Row]{Key: key, Population: pop, Items: items}
 	}
@@ -151,19 +151,11 @@ func TestMergeAbsentGroupSemantics(t *testing.T) {
 	full.Put(mk("s-a", "g", 1000, 50, 60, 70, 80))
 	full.Put(mk("s-b", "g", 2000, -5, -7, -9))
 
-	q := Query{
-		GroupKey: groupCol,
-		Value: func(row engine.Row) (float64, bool) {
-			v := row[1].F
-			return v, v > 0
-		},
-		Agg: Sum,
-	}
-	pa, err := Partials(partA, q)
+	pa, err := PartialsCtx(context.Background(), partA, byGroup, valueCol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := Partials(partB, q)
+	pb, err := PartialsCtx(context.Background(), partB, byGroup, valueCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +166,7 @@ func TestMergeAbsentGroupSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := Run(full, q)
+	single, err := run(full, byGroup, valueCol, Sum, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +192,7 @@ func TestMergeAbsentGroupSemantics(t *testing.T) {
 // per-shard scans run concurrently (as shard.Fanout runs them) and the
 // merged result must still match the single scan.
 func TestMergePartialsConcurrent(t *testing.T) {
-	st := synthSample(99, 64)
-	q := Query{GroupKey: groupCol, Value: valueCol, Agg: Avg}
+	st := synthSample(99, 64, nil)
 	parts := partitionByRouter(t, st, 8)
 	lists := make([][]GroupPartial, len(parts))
 	var wg sync.WaitGroup
@@ -209,7 +200,7 @@ func TestMergePartialsConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int, p *sample.Stratified[engine.Row]) {
 			defer wg.Done()
-			out, err := PartialsCtx(context.Background(), p, q)
+			out, err := PartialsCtx(context.Background(), p, byGroup, valueCol)
 			if err != nil {
 				t.Error(err)
 				return
@@ -222,7 +213,7 @@ func TestMergePartialsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := Run(st, Query{GroupKey: groupCol, Value: valueCol, Agg: Avg, Confidence: 0.95})
+	single, err := run(st, byGroup, valueCol, Avg, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}

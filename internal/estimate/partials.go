@@ -2,18 +2,19 @@ package estimate
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
+	"github.com/approxdb/congress/internal/datacube"
 	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/interval"
 	"github.com/approxdb/congress/internal/sample"
 )
 
-// gatherChunk is the batch size of the columnar scan path: the
-// aggregate column is gathered this many rows at a time, with one
-// cancellation poll per chunk (matches engine's vectorized chunk size).
+// gatherChunk is the batch size of the scan: the measure column is
+// gathered this many rows at a time, with one cancellation poll per
+// chunk (matches engine's vectorized chunk size).
 const gatherChunk = 4096
 
 // GroupPartial is the mergeable per-group state of one estimation scan:
@@ -26,7 +27,8 @@ const gatherChunk = 4096
 // Partials are confidence- and aggregate-independent: one scan serves
 // SUM, COUNT and AVG at any confidence level.
 type GroupPartial struct {
-	// Key is the output group key (see Query.GroupKey).
+	// Key is the output group key: the grouping values joined by
+	// datacube.KeySep (see PartialsCtx).
 	Key string
 	interval.Moments
 }
@@ -36,20 +38,16 @@ func emptyPartial(key string) GroupPartial {
 	return GroupPartial{Key: key, Moments: interval.NewMoments()}
 }
 
-// Partials scans the stratified sample and returns per-group partials in
-// first-appearance order (strata are visited in sorted key order).
-func Partials(st *sample.Stratified[engine.Row], q Query) ([]GroupPartial, error) {
-	return PartialsCtx(context.Background(), st, q)
-}
-
-// PartialsCtx is the scan half of RunCtx: it reduces every stratum into
-// its output group's GroupPartial and performs no statistics that depend
-// on the aggregate or confidence level. q.Agg and q.Confidence are
-// ignored. Cancellation is observed every pollEvery sampled rows.
-func PartialsCtx(ctx context.Context, st *sample.Stratified[engine.Row], q Query) ([]GroupPartial, error) {
-	if q.Value == nil && q.ValueIndex == nil {
-		return nil, errors.New("estimate: Query.Value is required")
-	}
+// PartialsCtx scans the stratified sample and reduces every stratum into
+// its output group's GroupPartial, returned in first-appearance order
+// (strata are visited in sorted key order). groupCols are the row
+// ordinals of the output grouping — a subset of the synopsis grouping,
+// possibly empty — and valueCol the ordinal of the measure: the same
+// request Synopsis.ExactPartials answers from the cube. A row whose
+// measure is NULL contributes nothing. No statistic that depends on the
+// aggregate or confidence level is taken here. Cancellation is observed
+// once per gathered chunk.
+func PartialsCtx(ctx context.Context, st *sample.Stratified[engine.Row], groupCols []int, valueCol int) ([]GroupPartial, error) {
 	cells := make(map[string]*GroupPartial)
 	var order []string
 	cell := func(key string) *GroupPartial {
@@ -63,9 +61,7 @@ func PartialsCtx(ctx context.Context, st *sample.Stratified[engine.Row], q Query
 		return c
 	}
 
-	scanned := 0 // rows visited across strata, for cancellation polling
-	// Reused gather scratch for the columnar (ValueIndex) path; nil and
-	// never allocated when every scan goes through q.Value.
+	// Reused gather scratch across strata.
 	var (
 		gvals []float64
 		goks  []bool
@@ -79,60 +75,30 @@ func PartialsCtx(ctx context.Context, st *sample.Stratified[engine.Row], q Query
 		if sf < 1 {
 			sf = 1
 		}
-		// Every tuple of a stratum carries the same grouping-column
-		// values (a stratum is a finest group and the output grouping is
-		// a subset of the synopsis grouping), so the key can be read off
-		// the first tuple whether or not it passes the predicate.
-		var key string
-		if q.GroupKey != nil {
-			key = q.GroupKey(s.Items[0])
-		}
-		// Both scan paths below feed values through Stratum.Add in row
-		// order, so the float operation sequence — and therefore every
-		// estimate bit — is identical whichever path runs.
+		// Values feed Stratum.Add in row order, so the float operation
+		// sequence — and therefore every estimate bit — is fixed by the
+		// sample alone. The measure column is gathered chunk by chunk,
+		// with one cancellation poll per chunk.
 		acc := interval.NewStratum(sf)
-		if q.ValueIndex != nil {
-			// Columnar path: gather the aggregate column chunk by chunk
-			// with one cancellation poll per chunk instead of a closure
-			// call and poll check per row.
-			ci := *q.ValueIndex
-			items := s.Items
-			for lo := 0; lo < len(items); lo += gatherChunk {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				hi := lo + gatherChunk
-				if hi > len(items) {
-					hi = len(items)
-				}
-				gvals, goks = engine.AppendColumnFloats(items[lo:hi], ci, gvals[:0], goks[:0])
-				for i, v := range gvals {
-					if goks[i] {
-						acc.Add(v)
-					}
-				}
+		items := s.Items
+		for lo := 0; lo < len(items); lo += gatherChunk {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-		} else {
-			for _, row := range s.Items {
-				if scanned&(pollEvery-1) == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
+			hi := min(lo+gatherChunk, len(items))
+			gvals, goks = engine.AppendColumnFloats(items[lo:hi], valueCol, gvals[:0], goks[:0])
+			for i, v := range gvals {
+				if goks[i] {
+					acc.Add(v)
 				}
-				scanned++
-				v, ok := q.Value(row)
-				if !ok {
-					continue
-				}
-				acc.Add(v)
 			}
 		}
-		c := cell(key)
+		c := cell(groupKey(items[0], groupCols))
 		if acc.N() == 0 {
-			// Zero-contribution stratum: every sampled row failed the
-			// predicate. The group's partial records it explicitly so a
-			// merge (and Finalize) can widen the bound for the unsampled
-			// population instead of treating absence as certainty.
+			// Zero-contribution stratum: every sampled measure is NULL.
+			// The group's partial records it explicitly so a merge (and
+			// Finalize) can widen the bound for the unsampled population
+			// instead of treating absence as certainty.
 			c.ZeroN += len(s.Items)
 			if sf > 1 {
 				c.ZeroScaled += float64(s.Population)
@@ -147,6 +113,20 @@ func PartialsCtx(ctx context.Context, st *sample.Stratified[engine.Row], q Query
 		out = append(out, *cells[key])
 	}
 	return out, nil
+}
+
+// groupKey renders a stratum's output group key from one of its rows:
+// the grouping values, rendered, joined by datacube.KeySep — the key
+// Synopsis.ExactPartials builds from the cube. Every tuple of a stratum
+// carries the same grouping values (a stratum is a finest group and the
+// output grouping is a subset of the synopsis grouping), so any row
+// will do. The empty grouping keys its one group "".
+func groupKey(row engine.Row, groupCols []int) string {
+	parts := make([]string, len(groupCols))
+	for i, c := range groupCols {
+		parts[i] = row[c].String()
+	}
+	return strings.Join(parts, datacube.KeySep)
 }
 
 // MergePartials combines per-shard (or otherwise partitioned) partials

@@ -28,14 +28,6 @@ func sparseSample() *sample.Stratified[engine.Row] {
 	return st
 }
 
-func sparseQuery(agg Aggregate) Query {
-	return Query{
-		GroupKey: func(r engine.Row) string { return r[0].S },
-		Value:    func(r engine.Row) (float64, bool) { return r[1].AsFloat() },
-		Agg:      agg,
-	}
-}
-
 func findGroup(t *testing.T, ests []GroupEstimate, key string) GroupEstimate {
 	t.Helper()
 	for _, e := range ests {
@@ -49,7 +41,7 @@ func findGroup(t *testing.T, ests []GroupEstimate, key string) GroupEstimate {
 
 func TestOneRowStratumBoundDefined(t *testing.T) {
 	for _, agg := range []Aggregate{Sum, Avg} {
-		ests, err := Run(sparseSample(), sparseQuery(agg))
+		ests, err := run(sparseSample(), byGroup, valueCol, agg, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", agg, err)
 		}
@@ -67,7 +59,7 @@ func TestOneRowStratumBoundDefined(t *testing.T) {
 }
 
 func TestOneRowStratumCountBound(t *testing.T) {
-	ests, err := Run(sparseSample(), sparseQuery(Count))
+	ests, err := run(sparseSample(), byGroup, valueCol, Count, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +83,7 @@ func TestFullyEnumeratedSingletonStaysExact(t *testing.T) {
 		Population: 1,
 		Items:      []engine.Row{{engine.NewString("solo"), engine.NewFloat(7)}},
 	})
-	ests, err := Run(st, sparseQuery(Sum))
+	ests, err := run(st, byGroup, valueCol, Sum, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +95,7 @@ func TestFullyEnumeratedSingletonStaysExact(t *testing.T) {
 
 func TestSparseBoundsSerializeAsJSON(t *testing.T) {
 	for _, agg := range []Aggregate{Sum, Count, Avg} {
-		ests, err := Run(sparseSample(), sparseQuery(agg))
+		ests, err := run(sparseSample(), byGroup, valueCol, agg, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", agg, err)
 		}

@@ -39,7 +39,7 @@ func TestStratifiedEstimatorUnbiased(t *testing.T) {
 		// 1% of A, 10% of B.
 		st.Put(stratumFrom("A", popA, 50, rng))
 		st.Put(stratumFrom("B", popB, 30, rng))
-		ests, err := Run(st, Query{Value: valueCol, Agg: Sum})
+		ests, err := run(st, nil, valueCol, Sum, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestSubsamplingVsStratifiedBound(t *testing.T) {
 		// Mixed: one stratum sampled at 5%.
 		stFull := sample.NewStratified[engine.Row]()
 		stFull.Put(stratumFrom("g", pop, 200, rng))
-		full, err := Run(stFull, Query{Value: valueCol, Agg: Sum})
+		full, err := run(stFull, nil, valueCol, Sum, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestSubsamplingVsStratifiedBound(t *testing.T) {
 		// would keep).
 		stSub := sample.NewStratified[engine.Row]()
 		stSub.Put(stratumFrom("g", pop, 40, rng))
-		sub, err := Run(stSub, Query{Value: valueCol, Agg: Sum})
+		sub, err := run(stSub, nil, valueCol, Sum, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

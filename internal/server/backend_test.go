@@ -145,7 +145,7 @@ func TestBackendConformance(t *testing.T) {
 		}
 	}
 
-	groupings := [][]string{{"l_returnflag"}, {"l_returnflag", "l_linestatus"}, tpcd.GroupingAttrs}
+	groupings := [][]string{nil, {"l_returnflag"}, {"l_returnflag", "l_linestatus"}, {"l_linestatus", "l_returnflag"}, tpcd.GroupingAttrs}
 	aggs := []estimate.Aggregate{estimate.Sum, estimate.Count, estimate.Avg}
 	for _, g := range groupings {
 		for _, noHybrid := range []bool{false, true} {

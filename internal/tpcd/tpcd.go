@@ -31,9 +31,6 @@ import (
 // GroupingAttrs are the grouping (dimensional) attributes of lineitem.
 var GroupingAttrs = []string{"l_returnflag", "l_linestatus", "l_shipdate"}
 
-// AggAttrs are the aggregation (measured) attributes.
-var AggAttrs = []string{"l_quantity", "l_extendedprice"}
-
 // Params configures the generator, mirroring Table 1 of the paper.
 type Params struct {
 	// TableSize is T: number of tuples. Paper range 100K-6M, default 1M.

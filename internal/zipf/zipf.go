@@ -19,7 +19,6 @@ import (
 // transform on the precomputed CDF, and exposes the exact cell
 // probabilities so callers can compute deterministic expected counts.
 type Distribution struct {
-	z     float64
 	probs []float64 // probs[i] = P(rank i)
 	cdf   []float64 // cdf[i] = P(rank <= i)
 }
@@ -34,7 +33,6 @@ func New(n int, z float64) (*Distribution, error) {
 		return nil, errors.New("zipf: negative skew parameter")
 	}
 	d := &Distribution{
-		z:     z,
 		probs: make([]float64, n),
 		cdf:   make([]float64, n),
 	}
@@ -66,9 +64,6 @@ func MustNew(n int, z float64) *Distribution {
 
 // N returns the number of ranks.
 func (d *Distribution) N() int { return len(d.probs) }
-
-// Z returns the skew parameter.
-func (d *Distribution) Z() float64 { return d.z }
 
 // Prob returns the probability of rank i.
 func (d *Distribution) Prob(i int) float64 { return d.probs[i] }

@@ -35,6 +35,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -642,7 +643,9 @@ func (w *Warehouse) EstimateQueryOpts(ctx context.Context, table string, groupin
 // estimatePlan resolves a direct-estimation request against the
 // warehouse: the table's synopsis plus the row ordinals of the grouping
 // columns and the aggregate column — the one request shape both
-// Synopsis.ExactPartials and estimate.PartialsCtx take. An empty
+// Synopsis.ExactPartials and estimate.PartialsCtx take. Every grouping
+// column must be in the synopsis grouping G: a sampled stratum carries
+// one value per G column, and nothing for any other column. An empty
 // grouping is the no-group-by query: one group, keyed "".
 func (w *Warehouse) estimatePlan(table string, grouping []string, aggCol string) (*aqua.Synopsis, []int, int, error) {
 	syn, ok := w.aq.Synopsis(table)
@@ -653,10 +656,14 @@ func (w *Warehouse) estimatePlan(table string, grouping []string, aggCol string)
 	if !ok {
 		return nil, nil, -1, fmt.Errorf("congress: synopsis for %q exists but its base relation is gone from the catalog", table)
 	}
+	g := syn.Grouping().Columns()
 	cols := make([]int, len(grouping))
 	for i, name := range grouping {
 		if cols[i] = rel.Schema.Index(name); cols[i] < 0 {
 			return nil, nil, -1, fmt.Errorf("%w: unknown grouping column %q", ErrBadQuery, name)
+		}
+		if !slices.Contains(g, cols[i]) {
+			return nil, nil, -1, fmt.Errorf("%w: grouping column %q is not in the synopsis grouping %v", ErrBadQuery, name, syn.GroupCols())
 		}
 	}
 	ci := rel.Schema.Index(aggCol)
@@ -708,7 +715,7 @@ func (w *Warehouse) EstimatePartialsOpts(ctx context.Context, table string, grou
 		}
 		w.aq.Telemetry().HybridFallback()
 	}
-	parts, err := estimate.PartialsCtx(ctx, syn.Sample(), cols, ci)
+	parts, err := estimate.PartialsCtx(ctx, syn.Strata(), cols, ci)
 	if err == nil {
 		// Each scatter-gather leg counts as one estimate scan on its
 		// shard, so the merged Metrics() reflect fan-out work.

@@ -19,6 +19,7 @@ import (
 	"github.com/approxdb/congress/internal/core"
 	"github.com/approxdb/congress/internal/datacube"
 	"github.com/approxdb/congress/internal/engine"
+	"github.com/approxdb/congress/internal/estimate"
 	"github.com/approxdb/congress/internal/metrics"
 	"github.com/approxdb/congress/internal/qcache"
 	"github.com/approxdb/congress/internal/rewrite"
@@ -119,10 +120,10 @@ func (a *Aqua) Telemetry() *metrics.Telemetry { return a.tel }
 // the sample up to date under inserts without touching the base table.
 //
 // The mutex guards the mutable state: the current sample snapshot and
-// gid assignment (swapped wholesale by Refresh) and the maintainer
-// (mutated by every Insert). Sample snapshots are immutable once
-// published, so readers that grab the pointer under the lock may keep
-// using it lock-free afterwards.
+// its read view (swapped wholesale by Refresh) and the maintainer
+// (mutated by every Insert). Sample snapshots and views are immutable
+// once published, so readers that grab the pointer under the lock may
+// keep using it lock-free afterwards.
 type Synopsis struct {
 	cfg      Config
 	grouping *core.Grouping
@@ -138,10 +139,10 @@ type Synopsis struct {
 	id    uint64
 	epoch atomic.Uint64
 
-	mu       sync.RWMutex
-	sample   *sample.Stratified[engine.Row]
-	gidByKey map[string]int64
-	pending  int64 // maintainer inserts not yet surfaced by Refresh
+	mu      sync.RWMutex
+	sample  *sample.Stratified[engine.Row]
+	view    *estimate.Strata // sample as published: cs_<table> and its stratum ranges
+	pending int64            // maintainer inserts not yet surfaced by Refresh
 
 	maintainer core.Maintainer
 
@@ -159,13 +160,13 @@ type Synopsis struct {
 	exactMeasureName map[int]string // schema ordinal -> measure name
 	exactGroupPos    map[int]int    // schema ordinal -> position in G
 
-	// Relations registered in the catalog, one layout per rewrite
-	// family. Names are fixed at creation.
-	integratedName string // base columns + sf
-	normName       string // base columns only
-	normAuxName    string // group columns + sf
-	keyName        string // base columns + gid
-	keyAuxName     string // gid + sf
+	// Relations registered in the catalog: the one sample relation every
+	// rewrite strategy reads, and the aux scale-factor relations of the
+	// Normalized and Key-normalized strategies. Names are fixed at
+	// creation.
+	sampleName  string // base columns + sf + gid
+	normAuxName string // group columns + sf
+	keyAuxName  string // gid + sf
 }
 
 // CreateSynopsis builds a synopsis: scans the base relation, allocates
@@ -347,84 +348,56 @@ func (a *Aqua) Synopses() []*Synopsis {
 
 func (s *Synopsis) nameTables() {
 	base := strings.ToLower(s.cfg.Table)
-	s.integratedName = "cs_" + base
-	s.normName = "csn_" + base
+	s.sampleName = "cs_" + base
 	s.normAuxName = "csn_" + base + "_aux"
-	s.keyName = "csk_" + base
 	s.keyAuxName = "csk_" + base + "_aux"
 }
 
-// materialize registers the sample relations for every rewrite layout.
+// materialize registers the sample relation and the two aux relations
+// for the current sample and publishes its read view. Callers hold mu or
+// have not published the synopsis yet.
 func (s *Synopsis) materialize(cat *engine.Catalog, baseSchema *engine.Schema) error {
-	// Stable GID per stratum.
-	keys := s.sample.Keys()
-	gid := make(map[string]int64, len(keys))
-	sort.Strings(keys)
-	for i, k := range keys {
-		gid[k] = int64(i + 1)
+	groupIdx := s.grouping.Columns()
+	view, err := estimate.NewStrata(s.sampleName, baseSchema, s.sample, groupIdx)
+	if err != nil {
+		return err
 	}
-	s.gidByKey = gid
-
-	sfCol := engine.Column{Name: "sf", Kind: engine.KindFloat}
-	gidCol := engine.Column{Name: "gid", Kind: engine.KindInt}
-
-	integrated := engine.NewRelation(s.integratedName,
-		engine.MustSchema(append(append([]engine.Column(nil), baseSchema.Cols...), sfCol)...))
-	norm := engine.NewRelation(s.normName,
-		engine.MustSchema(append([]engine.Column(nil), baseSchema.Cols...)...))
-	keyed := engine.NewRelation(s.keyName,
-		engine.MustSchema(append(append([]engine.Column(nil), baseSchema.Cols...), gidCol)...))
 
 	// Aux relations: grouping columns + sf, and gid + sf.
-	groupColDefs := make([]engine.Column, 0, len(s.cfg.GroupCols)+1)
-	for _, gc := range s.cfg.GroupCols {
-		idx := baseSchema.Index(gc)
-		groupColDefs = append(groupColDefs, baseSchema.Cols[idx])
+	sfCol := engine.Column{Name: "sf", Kind: engine.KindFloat}
+	groupColDefs := make([]engine.Column, 0, len(groupIdx)+1)
+	for _, gi := range groupIdx {
+		groupColDefs = append(groupColDefs, baseSchema.Cols[gi])
 	}
 	normAux := engine.NewRelation(s.normAuxName,
-		engine.MustSchema(append(append([]engine.Column(nil), groupColDefs...), sfCol)...))
+		engine.MustSchema(append(groupColDefs, sfCol)...))
 	keyAux := engine.NewRelation(s.keyAuxName,
-		engine.MustSchema(gidCol, sfCol))
+		engine.MustSchema(engine.Column{Name: "gid", Kind: engine.KindInt}, sfCol))
 
-	var firstErr error
-	insert := func(rel *engine.Relation, row engine.Row) {
-		if err := rel.Insert(row); err != nil && firstErr == nil {
-			firstErr = err
+	var normRows, keyRows []engine.Row
+	for i, r := range view.Ranges() {
+		if r.Lo == r.Hi {
+			continue
 		}
-	}
-
-	groupIdx := make([]int, len(s.cfg.GroupCols))
-	for i, gc := range s.cfg.GroupCols {
-		groupIdx[i] = baseSchema.Index(gc)
-	}
-
-	s.sample.Each(func(str *sample.Stratum[engine.Row]) {
-		if len(str.Items) == 0 {
-			return
-		}
-		sf := engine.NewFloat(str.ScaleFactor())
-		id := engine.NewInt(gid[str.Key])
-		for _, row := range str.Items {
-			insert(integrated, append(row.Clone(), sf))
-			insert(norm, row.Clone())
-			insert(keyed, append(row.Clone(), id))
-		}
+		sf, first := engine.NewFloat(r.SF), view.Row(r.Lo)
 		auxRow := make(engine.Row, 0, len(groupIdx)+1)
 		for _, gi := range groupIdx {
-			auxRow = append(auxRow, str.Items[0][gi])
+			auxRow = append(auxRow, first[gi])
 		}
-		insert(normAux, append(auxRow, sf))
-		insert(keyAux, engine.Row{id, sf})
-	})
-	if firstErr != nil {
-		return firstErr
+		normRows = append(normRows, append(auxRow, sf))
+		keyRows = append(keyRows, engine.Row{engine.NewInt(int64(i + 1)), sf})
+	}
+	if err := normAux.InsertAll(normRows); err != nil {
+		return err
+	}
+	if err := keyAux.InsertAll(keyRows); err != nil {
+		return err
 	}
 
-	cat.Register(integrated)
-	cat.Register(norm)
+	cat.Register(view.Relation())
 	cat.Register(normAux)
-	cat.Register(keyed)
 	cat.Register(keyAux)
+	s.view = view
 	return nil
 }
 
@@ -432,17 +405,14 @@ func (s *Synopsis) materialize(cat *engine.Catalog, baseSchema *engine.Schema) e
 func (s *Synopsis) Tables(strat rewrite.Strategy) rewrite.Tables {
 	t := rewrite.Tables{
 		Base:             s.cfg.Table,
+		Sample:           s.sampleName,
 		GroupCols:        s.cfg.GroupCols,
 		WithErrorColumns: s.cfg.WithErrorColumns,
 	}
 	switch strat {
-	case rewrite.Integrated, rewrite.NestedIntegrated:
-		t.Sample = s.integratedName
 	case rewrite.Normalized:
-		t.Sample = s.normName
 		t.Aux = s.normAuxName
 	case rewrite.KeyNormalized:
-		t.Sample = s.keyName
 		t.Aux = s.keyAuxName
 	}
 	return t
@@ -456,6 +426,14 @@ func (s *Synopsis) Sample() *sample.Stratified[engine.Row] {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.sample
+}
+
+// Strata returns the read view of the current sample, the input of
+// estimate.PartialsCtx. Like the sample it is immutable once published.
+func (s *Synopsis) Strata() *estimate.Strata {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.view
 }
 
 // AllocationRow is one line of the Figure 5-style allocation table.
@@ -477,23 +455,17 @@ type AllocationRow struct {
 // among the finest groups — the per-synopsis analogue of the paper's
 // Figure 5 — sorted by descending target.
 func (s *Synopsis) AllocationTable() []AllocationRow {
-	groupIdx := s.grouping.Columns()
-	st := s.Sample()
-	out := make([]AllocationRow, 0, st.NumStrata())
-	st.Each(func(str *sample.Stratum[engine.Row]) {
-		row := AllocationRow{
-			Population: str.Population,
-			PreScale:   s.alloc.PreScale[str.Key],
-			Target:     s.alloc.Targets[str.Key],
-			Actual:     len(str.Items),
-		}
-		if len(str.Items) > 0 {
-			for _, ci := range groupIdx {
-				row.Group = append(row.Group, str.Items[0][ci].String())
-			}
-		}
-		out = append(out, row)
-	})
+	ranges := s.Strata().Ranges()
+	out := make([]AllocationRow, 0, len(ranges))
+	for _, r := range ranges {
+		out = append(out, AllocationRow{
+			Group:      append([]string(nil), r.Parts...),
+			Population: r.Population,
+			PreScale:   s.alloc.PreScale[r.Key],
+			Target:     s.alloc.Targets[r.Key],
+			Actual:     r.Hi - r.Lo,
+		})
+	}
 	// Total order (target desc, then group, then population) so repeated
 	// calls — and hence API responses and tests — render identically.
 	sort.Slice(out, func(i, j int) bool {
@@ -511,15 +483,6 @@ func (s *Synopsis) AllocationTable() []AllocationRow {
 
 // Allocation exposes the space allocation that produced the synopsis.
 func (s *Synopsis) Allocation() *core.Allocation { return s.alloc }
-
-// gid returns the stable group id assigned to a finest-group key by the
-// latest materialization.
-func (s *Synopsis) gid(key string) (int64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	id, ok := s.gidByKey[key]
-	return id, ok
-}
 
 // Grouping exposes the grouping G of the synopsis.
 func (s *Synopsis) Grouping() *core.Grouping { return s.grouping }

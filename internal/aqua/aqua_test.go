@@ -1,6 +1,7 @@
 package aqua
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -60,10 +61,11 @@ func TestCreateSynopsisValidation(t *testing.T) {
 
 func TestSynopsisRelationsRegistered(t *testing.T) {
 	a, cat := newTestAqua(t, core.Congress, 2000)
-	for _, name := range []string{"cs_lineitem", "csn_lineitem", "csn_lineitem_aux", "csk_lineitem", "csk_lineitem_aux"} {
-		if _, ok := cat.Lookup(name); !ok {
-			t.Errorf("sample relation %q not registered", name)
-		}
+	// One sample relation and two aux relations, after build, refresh
+	// and restore alike.
+	want := fmt.Sprint([]string{"cs_lineitem", "csk_lineitem_aux", "csn_lineitem_aux", "lineitem"})
+	if got := fmt.Sprint(cat.Names()); got != want {
+		t.Errorf("after build the catalog holds %s, want %s", got, want)
 	}
 	s, ok := a.Synopsis("LINEITEM")
 	if !ok {
@@ -81,6 +83,25 @@ func TestSynopsisRelationsRegistered(t *testing.T) {
 	aux, _ := cat.Lookup("csn_lineitem_aux")
 	if aux.NumRows() == 0 || aux.NumRows() > 27 {
 		t.Errorf("aux rows %d", aux.NumRows())
+	}
+	if err := a.Refresh("lineitem"); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(cat.Names()); got != want {
+		t.Errorf("after refresh the catalog holds %s, want %s", got, want)
+	}
+	st, err := s.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _ := cat.Lookup("lineitem")
+	restored := engine.NewCatalog()
+	restored.Register(base)
+	if _, err := New(restored).RestoreSynopsis(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(restored.Names()); got != want {
+		t.Errorf("after restore the catalog holds %s, want %s", got, want)
 	}
 }
 

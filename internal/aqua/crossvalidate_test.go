@@ -77,7 +77,7 @@ func TestEstimatePathMatchesSQLPath(t *testing.T) {
 					sqlVals[strings.Join(keys, datacube.KeySep)] = answer{v, b}
 				}
 
-				parts, err := estimate.PartialsCtx(ctx, s.Sample(), idx, qtyIdx)
+				parts, err := estimate.PartialsCtx(ctx, s.Strata(), idx, qtyIdx)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,6 +2,7 @@ package aqua
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/rewrite"
@@ -24,93 +25,61 @@ func (a *Aqua) UpdateScaleFactor(table string, strat rewrite.Strategy, groupKey 
 	if !ok {
 		return 0, fmt.Errorf("aqua: no synopsis for %q", table)
 	}
-	stratum, ok := s.Sample().Get(groupKey)
-	if !ok {
+	view := s.Strata()
+	ranges := view.Ranges()
+	i := sort.Search(len(ranges), func(i int) bool { return ranges[i].Key >= groupKey })
+	if i == len(ranges) || ranges[i].Key != groupKey {
 		return 0, fmt.Errorf("aqua: unknown group %q", groupKey)
 	}
-	if len(stratum.Items) == 0 {
+	if ranges[i].Lo == ranges[i].Hi {
 		return 0, nil
 	}
-	newSF := engine.NewFloat(sf)
+	first, gid := view.Row(ranges[i].Lo), engine.NewInt(int64(i+1))
 
+	var (
+		name  string
+		match func(engine.Row) bool
+	)
 	switch strat {
 	case rewrite.Integrated, rewrite.NestedIntegrated:
-		// Every sampled tuple of the group carries the SF.
-		rel, ok := a.cat.Lookup(s.integratedName)
-		if !ok {
-			return 0, fmt.Errorf("aqua: sample relation %q missing", s.integratedName)
-		}
-		sfIdx := rel.Schema.Index("sf")
-		n, err := rel.Update(
-			func(row engine.Row) bool {
-				// The integrated row is the base row plus sf; the
-				// grouping extractor works on the prefix.
-				return s.grouping.Key(row) == groupKey
-			},
-			func(row engine.Row) engine.Row {
-				next := row.Clone()
-				next[sfIdx] = newSF
-				return next
-			},
-		)
-		if err == nil {
-			s.bumpEpoch()
-		}
-		return n, err
+		// Every sampled tuple of the group carries the SF; the gid is the
+		// sample relation's last column.
+		name = s.sampleName
+		match = func(row engine.Row) bool { return row[len(row)-1].Equal(gid) }
 	case rewrite.Normalized:
-		rel, ok := a.cat.Lookup(s.normAuxName)
-		if !ok {
-			return 0, fmt.Errorf("aqua: aux relation %q missing", s.normAuxName)
-		}
-		sfIdx := rel.Schema.Index("sf")
 		// The aux row holds the grouping column values; match on them.
+		name = s.normAuxName
 		want := make(engine.Row, 0, len(s.cfg.GroupCols))
 		for _, ci := range s.grouping.Columns() {
-			want = append(want, stratum.Items[0][ci])
+			want = append(want, first[ci])
 		}
-		n, err := rel.Update(
-			func(row engine.Row) bool {
-				for i, v := range want {
-					if !row[i].Equal(v) {
-						return false
-					}
+		match = func(row engine.Row) bool {
+			for i, v := range want {
+				if !row[i].Equal(v) {
+					return false
 				}
-				return true
-			},
-			func(row engine.Row) engine.Row {
-				next := row.Clone()
-				next[sfIdx] = newSF
-				return next
-			},
-		)
-		if err == nil {
-			s.bumpEpoch()
+			}
+			return true
 		}
-		return n, err
 	case rewrite.KeyNormalized:
-		auxRel, ok := a.cat.Lookup(s.keyAuxName)
-		if !ok {
-			return 0, fmt.Errorf("aqua: aux relation %q missing", s.keyAuxName)
-		}
-		id, ok := s.gid(groupKey)
-		if !ok {
-			return 0, fmt.Errorf("aqua: group %q has no gid", groupKey)
-		}
-		gid := engine.NewInt(id)
-		sfIdx := auxRel.Schema.Index("sf")
-		n, err := auxRel.Update(
-			func(row engine.Row) bool { return row[0].Equal(gid) },
-			func(row engine.Row) engine.Row {
-				next := row.Clone()
-				next[sfIdx] = newSF
-				return next
-			},
-		)
-		if err == nil {
-			s.bumpEpoch()
-		}
-		return n, err
+		name = s.keyAuxName
+		match = func(row engine.Row) bool { return row[0].Equal(gid) }
 	default:
 		return 0, fmt.Errorf("aqua: unknown rewrite strategy %v", strat)
 	}
+	rel, ok := a.cat.Lookup(name)
+	if !ok {
+		return 0, fmt.Errorf("aqua: relation %q missing", name)
+	}
+	sfIdx := rel.Schema.Index("sf")
+	newSF := engine.NewFloat(sf)
+	n, err := rel.Update(match, func(row engine.Row) engine.Row {
+		next := row.Clone()
+		next[sfIdx] = newSF
+		return next
+	})
+	if err == nil {
+		s.bumpEpoch()
+	}
+	return n, err
 }

@@ -59,12 +59,6 @@ func NewWithMeasures(attrs, measures []string) (*Cube, error) {
 // Measures returns the tracked measure column names (nil if none).
 func (c *Cube) Measures() []string { return c.measures }
 
-// HasMeasure reports whether the named column is a tracked measure.
-func (c *Cube) HasMeasure(col string) bool {
-	_, ok := c.mIndex[col]
-	return ok
-}
-
 // AddMeasured records one tuple with its measure values, updating every
 // grouping's counter and measure prefixes. vals must align with the
 // cube's measure list (Measures()); on a cube without measures it

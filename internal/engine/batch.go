@@ -4,8 +4,9 @@ package engine
 // snapshot of a relation: each column is decoded into a typed vector
 // (int64 lane, float64 lane, or a dictionary plus codes for strings)
 // with NULLs tracked in a per-column bitmap. Batches feed the
-// vectorized executor (vec_exec.go) and the estimate package's columnar
-// scan; the row engine never sees them.
+// vectorized executor (vec_exec.go) and, through FloatLane, the estimate
+// package's scan of a synopsis's one sample relation, whose batch is
+// built when the sample is published; the row engine never sees them.
 //
 // Layout invariants:
 //   - A column has one uniform non-null Kind, recorded in colData.kind.
@@ -216,16 +217,33 @@ func (b *Batch) fillColumn(ci int) {
 	}
 }
 
-// AppendColumnFloats gathers column col of rows into parallel value and
-// validity slices, appending to vals and ok (pass vals[:0], ok[:0] to
-// reuse scratch). ok[i] is false exactly when rows[i][col].AsFloat
-// reports not-ok (NULL or non-numeric). This is the gather kernel the
-// estimate package's scan uses.
-func AppendColumnFloats(rows []Row, col int, vals []float64, ok []bool) ([]float64, []bool) {
-	for _, r := range rows {
-		f, k := r[col].AsFloat()
-		vals = append(vals, f)
-		ok = append(ok, k)
+// FloatLane is one column of a Batch as Value.AsFloat sees it.
+type FloatLane struct {
+	vals    []float64
+	invalid nullBitmap // bit i set: AsFloat reports not-ok for row i; nil when no row is
+}
+
+// At returns row i's AsFloat value and ok flag.
+func (l FloatLane) At(i int) (float64, bool) { return l.vals[i], !l.invalid.get(i) }
+
+// FloatLane returns column col as Value.AsFloat sees it: At(i) is
+// rows[i][col].AsFloat(), not-ok exactly for a NULL or non-numeric
+// value. A numeric column shares the batch's floats lane and null
+// bitmap; a mixed, string or all-NULL column is gathered from the rows
+// on every call. This is the lane the estimate package's scan reads.
+func (b *Batch) FloatLane(col int) FloatLane {
+	if !b.ragged && col < len(b.cols) {
+		if c := &b.cols[col]; !c.mixed && c.kind.numeric() {
+			return FloatLane{vals: c.floats, invalid: c.nulls}
+		}
 	}
-	return vals, ok
+	l := FloatLane{vals: make([]float64, b.n), invalid: newNullBitmap(b.n)}
+	for i, r := range b.rows {
+		f, ok := r[col].AsFloat()
+		l.vals[i] = f
+		if !ok {
+			l.invalid.set(i)
+		}
+	}
+	return l
 }

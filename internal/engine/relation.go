@@ -159,14 +159,6 @@ func (r *Relation) Rows() []Row {
 	return out
 }
 
-// Truncate removes all rows.
-func (r *Relation) Truncate() {
-	r.mu.Lock()
-	r.rows = r.rows[:0]
-	r.invalidateBatchLocked()
-	r.mu.Unlock()
-}
-
 // invalidateBatchLocked drops the cached columnar batch. Callers must
 // hold r.mu for writing.
 func (r *Relation) invalidateBatchLocked() {

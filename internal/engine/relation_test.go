@@ -69,10 +69,6 @@ func TestRelationInsertAndRows(t *testing.T) {
 	if len(snap) != 3 {
 		t.Error("snapshot grew after insert")
 	}
-	rel.Truncate()
-	if rel.NumRows() != 0 {
-		t.Error("truncate left rows")
-	}
 }
 
 func TestRelationConcurrentInsert(t *testing.T) {

@@ -77,7 +77,7 @@ func TestAvgBoundCoverageRatioEstimator(t *testing.T) {
 		st.Put(&sample.Stratum[engine.Row]{Key: "exp", Population: expPop, Items: items})
 		st.Put(&sample.Stratum[engine.Row]{Key: "enum", Population: enumN, Items: enumItems})
 
-		parts, err := PartialsCtx(context.Background(), st, nil, 0)
+		parts, err := PartialsCtx(context.Background(), strataOf(st, nil), nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestAvgZeroStratumBoundCoverage(t *testing.T) {
 		st.Put(&sample.Stratum[engine.Row]{Key: "a", Population: enumN, Items: enumItems})
 		st.Put(&sample.Stratum[engine.Row]{Key: "b", Population: bPop, Items: items})
 
-		parts, err := PartialsCtx(context.Background(), st, nil, 0)
+		parts, err := PartialsCtx(context.Background(), strataOf(st, nil), nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestSparseStratumBoundCoverage(t *testing.T) {
 		st.Put(&sample.Stratum[engine.Row]{Key: "b", Population: sparsePop,
 			Items: []engine.Row{{engine.NewFloat(sparseVal(rng.Intn(sparsePop)))}}})
 
-		parts, err := PartialsCtx(context.Background(), st, nil, 0)
+		parts, err := PartialsCtx(context.Background(), strataOf(st, nil), nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

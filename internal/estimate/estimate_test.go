@@ -2,6 +2,7 @@ package estimate
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -35,9 +36,29 @@ var byGroup = []int{0}
 
 const valueCol = 1
 
+// strataOf publishes st through NewStrata, the constructor a synopsis
+// uses, over generic columns c0, c1, … and synopsis grouping g.
+func strataOf(st *sample.Stratified[engine.Row], g []int) *Strata {
+	width := 0
+	st.Each(func(s *sample.Stratum[engine.Row]) {
+		if len(s.Items) > 0 {
+			width = len(s.Items[0])
+		}
+	})
+	cols := make([]engine.Column, width)
+	for i := range cols {
+		cols[i] = engine.Column{Name: fmt.Sprintf("c%d", i), Kind: engine.KindFloat}
+	}
+	v, err := NewStrata("sample", engine.MustSchema(cols...), st, g)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // run is the single-warehouse estimate: PartialsCtx followed by Finalize.
 func run(st *sample.Stratified[engine.Row], groupCols []int, valueCol int, agg Aggregate, conf float64) ([]GroupEstimate, error) {
-	parts, err := PartialsCtx(context.Background(), st, groupCols, valueCol)
+	parts, err := PartialsCtx(context.Background(), strataOf(st, groupCols), groupCols, valueCol)
 	if err != nil {
 		return nil, err
 	}

@@ -69,7 +69,7 @@ func TestHybridBoundCoverage(t *testing.T) {
 				}
 				st := sample.NewStratified[engine.Row]()
 				st.Put(&sample.Stratum[engine.Row]{Key: "res", Population: int64(resPop), Items: items})
-				sampled, err := PartialsCtx(context.Background(), st, nil, 0)
+				sampled, err := PartialsCtx(context.Background(), strataOf(st, nil), nil, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -156,7 +156,7 @@ func TestHybridBoundCoverage(t *testing.T) {
 func TestMergeHybridNoExactMassBitIdentical(t *testing.T) {
 	// The predicate leaves some sparse and zero-contribution strata.
 	st := synthSample(23, 90, func(v float64) bool { return v > 120 })
-	parts, err := PartialsCtx(context.Background(), st, byGroup, valueCol)
+	parts, err := PartialsCtx(context.Background(), strataOf(st, byGroup), byGroup, valueCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestMergeNearCancellingAvgVarianceClamp(t *testing.T) {
 		lists := make([][]GroupPartial, len(parts))
 		for i, p := range parts {
 			var err error
-			if lists[i], err = PartialsCtx(context.Background(), p, byGroup, valueCol); err != nil {
+			if lists[i], err = PartialsCtx(context.Background(), strataOf(p, byGroup), byGroup, valueCol); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -89,7 +89,7 @@ func TestMergeReproducesSingleScan(t *testing.T) {
 			parts := partitionByRouter(t, st, k)
 			lists := make([][]GroupPartial, k)
 			for i, p := range parts {
-				lists[i], err = PartialsCtx(context.Background(), p, byGroup, valueCol)
+				lists[i], err = PartialsCtx(context.Background(), strataOf(p, byGroup), byGroup, valueCol)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,11 +151,11 @@ func TestMergeAbsentGroupSemantics(t *testing.T) {
 	full.Put(mk("s-a", "g", 1000, 50, 60, 70, 80))
 	full.Put(mk("s-b", "g", 2000, -5, -7, -9))
 
-	pa, err := PartialsCtx(context.Background(), partA, byGroup, valueCol)
+	pa, err := PartialsCtx(context.Background(), strataOf(partA, byGroup), byGroup, valueCol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := PartialsCtx(context.Background(), partB, byGroup, valueCol)
+	pb, err := PartialsCtx(context.Background(), strataOf(partB, byGroup), byGroup, valueCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestMergePartialsConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int, p *sample.Stratified[engine.Row]) {
 			defer wg.Done()
-			out, err := PartialsCtx(context.Background(), p, byGroup, valueCol)
+			out, err := PartialsCtx(context.Background(), strataOf(p, byGroup), byGroup, valueCol)
 			if err != nil {
 				t.Error(err)
 				return

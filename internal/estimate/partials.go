@@ -3,18 +3,17 @@ package estimate
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"github.com/approxdb/congress/internal/datacube"
-	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/interval"
-	"github.com/approxdb/congress/internal/sample"
 )
 
-// gatherChunk is the batch size of the scan: the measure column is
-// gathered this many rows at a time, with one cancellation poll per
-// chunk (matches engine's vectorized chunk size).
+// gatherChunk is the number of rows of a stratum the scan reads
+// between two cancellation polls (matches engine's vectorized chunk
+// size).
 const gatherChunk = 4096
 
 // GroupPartial is the mergeable per-group state of one estimation scan:
@@ -38,68 +37,72 @@ func emptyPartial(key string) GroupPartial {
 	return GroupPartial{Key: key, Moments: interval.NewMoments()}
 }
 
-// PartialsCtx scans the stratified sample and reduces every stratum into
-// its output group's GroupPartial, returned in first-appearance order
+// PartialsCtx scans the sample view and reduces every stratum into its
+// output group's GroupPartial, returned in first-appearance order
 // (strata are visited in sorted key order). groupCols are the row
-// ordinals of the output grouping — a subset of the synopsis grouping,
-// possibly empty — and valueCol the ordinal of the measure: the same
-// request Synopsis.ExactPartials answers from the cube. A row whose
-// measure is NULL contributes nothing. No statistic that depends on the
-// aggregate or confidence level is taken here. Cancellation is observed
-// once per gathered chunk.
-func PartialsCtx(ctx context.Context, st *sample.Stratified[engine.Row], groupCols []int, valueCol int) ([]GroupPartial, error) {
-	cells := make(map[string]*GroupPartial)
-	var order []string
-	cell := func(key string) *GroupPartial {
-		c := cells[key]
-		if c == nil {
-			p := emptyPartial(key)
-			c = &p
-			cells[key] = c
-			order = append(order, key)
+// ordinals of the output grouping — a subset of the synopsis grouping
+// G, possibly empty — and valueCol the ordinal of the measure: the same
+// request Synopsis.ExactPartials answers from the cube. A group key is
+// the stratum's rendered values of groupCols joined by datacube.KeySep,
+// the key ExactPartials builds; the empty grouping keys its one group
+// "". A row whose measure is NULL contributes nothing. No statistic
+// that depends on the aggregate or confidence level is taken here.
+// Cancellation is observed once per gatherChunk rows of a stratum.
+func PartialsCtx(ctx context.Context, v *Strata, groupCols []int, valueCol int) ([]GroupPartial, error) {
+	pos := make([]int, len(groupCols))
+	for i, c := range groupCols {
+		if pos[i] = slices.Index(v.gCols, c); pos[i] < 0 {
+			return nil, fmt.Errorf("estimate: column %d is not in the synopsis grouping", c)
 		}
-		return c
+	}
+	parts := make([]string, len(pos))
+	out := []GroupPartial{}
+	index := make(map[string]int) // key -> position in out
+	cell := func(s *StratumRange) *GroupPartial {
+		for i, p := range pos {
+			parts[i] = s.Parts[p]
+		}
+		key := strings.Join(parts, datacube.KeySep)
+		j, ok := index[key]
+		if !ok {
+			j = len(out)
+			index[key] = j
+			out = append(out, emptyPartial(key))
+		}
+		return &out[j]
 	}
 
-	// Reused gather scratch across strata.
-	var (
-		gvals []float64
-		goks  []bool
-	)
-	for _, sk := range st.Keys() {
-		s, ok := st.Get(sk)
-		if !ok || len(s.Items) == 0 {
+	lane := v.batch.FloatLane(valueCol)
+	for i := range v.ranges {
+		s := &v.ranges[i]
+		if s.Lo == s.Hi {
 			continue
 		}
-		sf := s.ScaleFactor()
+		sf := s.SF
 		if sf < 1 {
 			sf = 1
 		}
 		// Values feed Stratum.Add in row order, so the float operation
 		// sequence — and therefore every estimate bit — is fixed by the
-		// sample alone. The measure column is gathered chunk by chunk,
-		// with one cancellation poll per chunk.
+		// sample alone.
 		acc := interval.NewStratum(sf)
-		items := s.Items
-		for lo := 0; lo < len(items); lo += gatherChunk {
+		for lo := s.Lo; lo < s.Hi; lo += gatherChunk {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			hi := min(lo+gatherChunk, len(items))
-			gvals, goks = engine.AppendColumnFloats(items[lo:hi], valueCol, gvals[:0], goks[:0])
-			for i, v := range gvals {
-				if goks[i] {
-					acc.Add(v)
+			for j := lo; j < min(lo+gatherChunk, s.Hi); j++ {
+				if f, ok := lane.At(j); ok {
+					acc.Add(f)
 				}
 			}
 		}
-		c := cell(groupKey(items[0], groupCols))
+		c := cell(s)
 		if acc.N() == 0 {
 			// Zero-contribution stratum: every sampled measure is NULL.
 			// The group's partial records it explicitly so a merge (and
 			// Finalize) can widen the bound for the unsampled population
 			// instead of treating absence as certainty.
-			c.ZeroN += len(s.Items)
+			c.ZeroN += s.Hi - s.Lo
 			if sf > 1 {
 				c.ZeroScaled += float64(s.Population)
 			}
@@ -107,26 +110,7 @@ func PartialsCtx(ctx context.Context, st *sample.Stratified[engine.Row], groupCo
 		}
 		c.AddStratum(&acc)
 	}
-
-	out := make([]GroupPartial, 0, len(order))
-	for _, key := range order {
-		out = append(out, *cells[key])
-	}
 	return out, nil
-}
-
-// groupKey renders a stratum's output group key from one of its rows:
-// the grouping values, rendered, joined by datacube.KeySep — the key
-// Synopsis.ExactPartials builds from the cube. Every tuple of a stratum
-// carries the same grouping values (a stratum is a finest group and the
-// output grouping is a subset of the synopsis grouping), so any row
-// will do. The empty grouping keys its one group "".
-func groupKey(row engine.Row, groupCols []int) string {
-	parts := make([]string, len(groupCols))
-	for i, c := range groupCols {
-		parts[i] = row[c].String()
-	}
-	return strings.Join(parts, datacube.KeySep)
 }
 
 // MergePartials combines per-shard (or otherwise partitioned) partials

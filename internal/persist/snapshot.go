@@ -40,9 +40,9 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // State is the complete persisted warehouse: base relations and every
-// synopsis's exported state. Sample relations (cs_*, csn_*, csk_*) are
-// not stored — they are re-materialized from the synopsis states on
-// restore.
+// synopsis's exported state. Sample relations (cs_* and the aux
+// relations csn_*_aux, csk_*_aux) are not stored — they are
+// re-materialized from the synopsis states on restore.
 type State struct {
 	Tables   []TableState
 	Synopses []*aqua.SynopsisState

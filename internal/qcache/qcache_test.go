@@ -77,8 +77,8 @@ func TestLRUOrder(t *testing.T) {
 	c := New(2, 0, Events{})
 	c.Put("a", 1, 1)
 	c.Put("b", 2, 1)
-	c.Get("a")           // a is now MRU
-	c.Put("c", 3, 1)     // evicts b
+	c.Get("a")       // a is now MRU
+	c.Put("c", 3, 1) // evicts b
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted (LRU)")
 	}

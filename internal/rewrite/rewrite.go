@@ -55,21 +55,19 @@ var Strategies = []Strategy{Integrated, NestedIntegrated, Normalized, KeyNormali
 type Tables struct {
 	// Base is the base relation name the user query references.
 	Base string
-	// Sample is the sample relation. For Integrated/NestedIntegrated it
-	// carries an SF column; for KeyNormalized a GID column; for
-	// Normalized just the base columns.
+	// Sample is the sample relation: the base columns plus the sf column
+	// (read by Integrated/NestedIntegrated) and the gid column (joined on
+	// by KeyNormalized). Normalized and KeyNormalized qualify every
+	// column with an alias, so the sample's sf column never meets the
+	// aux relation's.
 	Sample string
 	// Aux is the auxiliary scale-factor relation for Normalized
-	// (grouping columns + SF) and KeyNormalized (GID + SF).
+	// (grouping columns + sf) and KeyNormalized (gid + sf).
 	Aux string
 	// GroupCols is the full grouping attribute set G of the synopsis;
 	// the Normalized join must match on all of G because scale factors
 	// are per finest group.
 	GroupCols []string
-	// SFCol and GIDCol name the scale-factor and group-id columns
-	// (default "sf" and "gid").
-	SFCol  string
-	GIDCol string
 	// WithErrorColumns appends an Aqua error-bound pseudo-aggregate for
 	// each rewritten aggregate (Figure 2's sum_error column). Supported
 	// for Integrated only, and requires GroupCols: the error aggregates
@@ -77,19 +75,12 @@ type Tables struct {
 	WithErrorColumns bool
 }
 
-func (t *Tables) sfCol() string {
-	if t.SFCol == "" {
-		return "sf"
-	}
-	return t.SFCol
-}
-
-func (t *Tables) gidCol() string {
-	if t.GIDCol == "" {
-		return "gid"
-	}
-	return t.GIDCol
-}
+// The scale-factor and group-id columns of the sample and aux relations
+// (see estimate.NewStrata).
+const (
+	sfCol  = "sf"
+	gidCol = "gid"
+)
 
 // Rewrite transforms a single-table aggregate query over t.Base into a
 // query over the sample relations using the given strategy. The input
@@ -204,9 +195,9 @@ func errorAggFor(f *sqlparse.FuncCall, t Tables) sqlparse.Expr {
 	var args []sqlparse.Expr
 	switch f.Name {
 	case "sum", "avg":
-		args = []sqlparse.Expr{f.Args[0], col(t.sfCol())}
+		args = []sqlparse.Expr{f.Args[0], col(sfCol)}
 	case "count":
-		args = []sqlparse.Expr{col(t.sfCol())}
+		args = []sqlparse.Expr{col(sfCol)}
 	default:
 		return nil
 	}
@@ -227,7 +218,7 @@ func rewriteIntegrated(stmt *sqlparse.SelectStmt, t Tables) (*sqlparse.SelectStm
 	}
 	out := cloneStmt(stmt)
 	out.From = []sqlparse.TableRef{{Name: t.Sample}}
-	sf := func() sqlparse.Expr { return col(t.sfCol()) }
+	sf := func() sqlparse.Expr { return col(sfCol) }
 
 	var errorItems []sqlparse.SelectItem
 	for i, item := range out.Select {
@@ -273,8 +264,6 @@ func rewriteIntegrated(stmt *sqlparse.SelectStmt, t Tables) (*sqlparse.SelectStm
 // aggregates per (grouping, SF); the outer query applies the scale
 // factor once per group.
 func rewriteNestedIntegrated(stmt *sqlparse.SelectStmt, t Tables) (*sqlparse.SelectStmt, error) {
-	sfName := t.sfCol()
-
 	inner := &sqlparse.SelectStmt{Limit: -1}
 	inner.From = []sqlparse.TableRef{{Name: t.Sample}}
 	inner.Where = stmt.Where
@@ -286,8 +275,8 @@ func rewriteNestedIntegrated(stmt *sqlparse.SelectStmt, t Tables) (*sqlparse.Sel
 		inner.GroupBy = append(inner.GroupBy, col(gc.Name))
 		inner.Select = append(inner.Select, sqlparse.SelectItem{Expr: col(gc.Name)})
 	}
-	inner.GroupBy = append(inner.GroupBy, col(sfName))
-	inner.Select = append(inner.Select, sqlparse.SelectItem{Expr: col(sfName)})
+	inner.GroupBy = append(inner.GroupBy, col(sfCol))
+	inner.Select = append(inner.Select, sqlparse.SelectItem{Expr: col(sfCol)})
 
 	// Allocate one inner partial aggregate per distinct partial
 	// expression, shared across outer references.
@@ -307,7 +296,7 @@ func rewriteNestedIntegrated(stmt *sqlparse.SelectStmt, t Tables) (*sqlparse.Sel
 		switch f.Name {
 		case "sum":
 			alias := addPartial(sum(f.Args[0]))
-			return sum(mul(col(alias), col(sfName))), nil
+			return sum(mul(col(alias), col(sfCol))), nil
 		case "count":
 			var inner *sqlparse.FuncCall
 			if f.Star {
@@ -316,13 +305,13 @@ func rewriteNestedIntegrated(stmt *sqlparse.SelectStmt, t Tables) (*sqlparse.Sel
 				inner = &sqlparse.FuncCall{Name: "count", Args: f.Args}
 			}
 			alias := addPartial(inner)
-			return sum(mul(col(alias), col(sfName))), nil
+			return sum(mul(col(alias), col(sfCol))), nil
 		case "avg":
 			sAlias := addPartial(sum(f.Args[0]))
 			cAlias := addPartial(&sqlparse.FuncCall{Name: "count", Star: true})
 			return div(
-				sum(mul(col(sAlias), col(sfName))),
-				sum(mul(col(cAlias), col(sfName))),
+				sum(mul(col(sAlias), col(sfCol))),
+				sum(mul(col(cAlias), col(sfCol))),
 			), nil
 		case "min", "max":
 			alias := addPartial(&sqlparse.FuncCall{Name: f.Name, Args: f.Args})
@@ -383,7 +372,7 @@ func rewriteNormalized(stmt *sqlparse.SelectStmt, t Tables, byKey bool) (*sqlpar
 	// Join condition.
 	var join sqlparse.Expr
 	if byKey {
-		join = &sqlparse.BinaryExpr{Op: "=", Left: qcol(sAlias, t.gidCol()), Right: qcol(xAlias, t.gidCol())}
+		join = &sqlparse.BinaryExpr{Op: "=", Left: qcol(sAlias, gidCol), Right: qcol(xAlias, gidCol)}
 	} else {
 		if len(t.GroupCols) == 0 {
 			return nil, fmt.Errorf("rewrite: Normalized requires the synopsis grouping columns")
@@ -400,7 +389,7 @@ func rewriteNormalized(stmt *sqlparse.SelectStmt, t Tables, byKey bool) (*sqlpar
 
 	// Qualify every base-column reference with the sample alias, and
 	// scale aggregates with the aux SF.
-	sf := func() sqlparse.Expr { return qcol(xAlias, t.sfCol()) }
+	sf := func() sqlparse.Expr { return qcol(xAlias, sfCol) }
 	qualify := func(e sqlparse.Expr) (sqlparse.Expr, error) {
 		return mapExpr(e, func(c *sqlparse.ColumnRef) sqlparse.Expr {
 			if c.Table == "" {

@@ -80,20 +80,6 @@ func TestRewriteIntegratedErrorColumnsForCountAvg(t *testing.T) {
 	}
 }
 
-func TestRewriteCustomColumnNames(t *testing.T) {
-	tbl := testTables
-	tbl.SFCol = "scalef"
-	tbl.GIDCol = "groupid"
-	s := mustRewrite(t, "select sum(l_quantity) from lineitem", Integrated, tbl)
-	if !strings.Contains(s, "scalef") {
-		t.Errorf("custom SF column ignored: %s", s)
-	}
-	s = mustRewrite(t, "select sum(l_quantity) from lineitem", KeyNormalized, tbl)
-	if !strings.Contains(s, "s.groupid = x.groupid") {
-		t.Errorf("custom GID column ignored: %s", s)
-	}
-}
-
 func TestRewriteNestedCountColumn(t *testing.T) {
 	// COUNT(col) (not star) through Nested-integrated.
 	s := mustRewrite(t, "select l_returnflag, count(l_quantity) from lineitem group by l_returnflag", NestedIntegrated, testTables)

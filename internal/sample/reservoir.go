@@ -56,25 +56,8 @@ func MustReservoir[T any](capacity int, rng *rand.Rand) *Reservoir[T] {
 func (r *Reservoir[T]) Offer(item T) (evicted T, hadEviction, accepted bool) {
 	r.seen++
 	if len(r.items) < r.capacity {
-		// Free space exists either because the stream is still shorter
-		// than the capacity (classic fill phase: admit unconditionally)
-		// or because Shrink regrew the capacity mid-stream. After a
-		// regrow the stream is long, so unconditional admission would
-		// give post-regrow arrivals inclusion probability 1; admit with
-		// Algorithm R's probability capacity/seen instead — no eviction
-		// needed while refilling. The refilled sample is approximately,
-		// not exactly, uniform: pre-regrow survivors retain the lower
-		// inclusion probability they had under the old capacity while
-		// post-regrow arrivals enter at capacity/seen, and the gap only
-		// washes out as the stream grows. Exact uniformity across a
-		// capacity increase is impossible without revisiting discarded
-		// items; downstream estimators treat the sample as uniform, so
-		// a regrow introduces a small residual bias (far smaller than
-		// the probability-1 admission this replaces).
-		if r.seen > int64(r.capacity) &&
-			r.rng.Float64()*float64(r.seen) >= float64(r.capacity) {
-			return evicted, false, false
-		}
+		// Fill phase: the capacity never grows, so free space means the
+		// stream is still no longer than the capacity; admit.
 		r.items = append(r.items, item)
 		return evicted, false, true
 	}
@@ -151,16 +134,16 @@ var ErrCapacityUnderflow = errors.New("sample: reservoir capacity below 1")
 // random victims if the sample currently exceeds it. Shrinking preserves
 // the uniform-sample property: the paper's Theorem 6.1 proof notes the
 // property "is preserved under random eviction without insertion".
-// The evicted items are returned. Growing (newCap above the current
-// capacity) only raises the cap; it cannot retroactively add items —
-// Offer refills the freed space at probability capacity/seen, which
-// keeps the sample approximately (not exactly) uniform; see Offer for
-// the residual bias.
-// newCap < 1 returns ErrCapacityUnderflow and leaves the reservoir
-// unchanged.
+// The evicted items are returned. newCap < 1 returns
+// ErrCapacityUnderflow, and newCap above the current capacity an error:
+// a grown reservoir could not refill uniformly without revisiting
+// discarded items. Either leaves the reservoir unchanged.
 func (r *Reservoir[T]) Shrink(newCap int, rng *rand.Rand) ([]T, error) {
 	if newCap < 1 {
 		return nil, fmt.Errorf("%w: requested %d", ErrCapacityUnderflow, newCap)
+	}
+	if newCap > r.capacity {
+		return nil, fmt.Errorf("sample: reservoir capacity %d cannot grow to %d", r.capacity, newCap)
 	}
 	if newCap != r.capacity {
 		// Any pending skip count was drawn for the old capacity;
@@ -216,6 +199,11 @@ func RestoreReservoir[T any](st *ReservoirState[T], rng *rand.Rand) (*Reservoir[
 	}
 	if st.Seen < int64(len(st.Items)) {
 		return nil, fmt.Errorf("sample: reservoir state saw %d items but holds %d", st.Seen, len(st.Items))
+	}
+	if len(st.Items) < st.Capacity && st.Seen > int64(st.Capacity) {
+		// Only a grown capacity leaves free space after the stream has
+		// outrun it, and capacities never grow.
+		return nil, fmt.Errorf("sample: reservoir state holds %d items under capacity %d after %d seen", len(st.Items), st.Capacity, st.Seen)
 	}
 	r.seen = st.Seen
 	r.items = append(r.items, st.Items...)

@@ -289,6 +289,10 @@ func TestBackendConformance(t *testing.T) {
 					_, _, err := f.b.EstimateQueryOpts(ctx, "lineitem", []string{"nope"}, estimate.Sum, "l_quantity", 0.95, congress.ApproxOptions{})
 					return err
 				}, congress.ErrBadQuery},
+				{"grouping column outside the synopsis", func() error {
+					_, _, err := f.b.EstimateQueryOpts(ctx, "lineitem", []string{"l_quantity"}, estimate.Sum, "l_quantity", 0.95, congress.ApproxOptions{})
+					return err
+				}, congress.ErrBadQuery},
 				{"bad aggregate column", func() error {
 					_, err := f.b.EstimatePartialsOpts(ctx, "lineitem", []string{"l_returnflag"}, "nope", congress.PartialsOptions{})
 					return err

@@ -19,6 +19,7 @@ import (
 	"math"
 	"strconv"
 	"time"
+	"unicode/utf8"
 )
 
 // Kind enumerates the runtime types a Value can take.
@@ -252,7 +253,7 @@ func (v Value) AppendGroupKey(dst []byte) []byte {
 // JSONValue returns v in its JSON wire form, the one congressd uses for
 // result rows and insert rows alike: NULL is null, booleans and numbers
 // stay themselves, strings and dates render as display text. It is the
-// inverse of ParseJSONValue.
+// inverse of ParseJSONValue; AppendJSON writes the same form as bytes.
 func (v Value) JSONValue() any {
 	switch v.K {
 	case KindNull:
@@ -266,6 +267,101 @@ func (v Value) JSONValue() any {
 	default:
 		return v.String()
 	}
+}
+
+// AppendJSON appends v's JSON wire form to dst: the bytes encoding/json
+// writes for JSONValue() (HTML left unescaped), with no reflection and
+// no boxing. A non-finite FLOAT, which JSON cannot carry and
+// encoding/json refuses, is null — what the engine returns for x / 0.
+func (v Value) AppendJSON(dst []byte) []byte {
+	switch v.K {
+	case KindNull:
+		return append(dst, "null"...)
+	case KindBool:
+		if v.I != 0 {
+			return append(dst, "true"...)
+		}
+		return append(dst, "false"...)
+	case KindInt:
+		return strconv.AppendInt(dst, v.I, 10)
+	case KindFloat:
+		return appendJSONFloat(dst, v.F)
+	case KindDate:
+		dst = time.Unix(v.I*86400, 0).UTC().AppendFormat(append(dst, '"'), "2006-01-02")
+		return append(dst, '"')
+	default:
+		return appendJSONString(dst, v.S)
+	}
+}
+
+// appendJSONFloat is encoding/json's float64 form: the shortest
+// round-trip digits, 'f' notation unless the magnitude is below 1e-6 or
+// at least 1e21, and a two-digit negative exponent cut to one (e-7).
+func appendJSONFloat(dst []byte, f float64) []byte {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return append(dst, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// appendJSONString is encoding/json's string form with HTML escaping
+// off: quote and backslash escaped, control bytes as \b \f \n \r \t or
+// \u00XX, U+2028 and U+2029 as \u2028 and \u2029, and each byte of
+// invalid UTF-8 as \ufffd.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
 }
 
 // maxExactFloatInt is 2^53: every integer up to it in magnitude has an

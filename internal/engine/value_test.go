@@ -1,6 +1,10 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -140,5 +144,42 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(99).String() == "" {
 		t.Error("unknown kind should still render")
+	}
+}
+
+// TestAppendJSONMatchesEncodingJSON: AppendJSON writes the bytes
+// encoding/json (HTML escaping off) writes for JSONValue, over random
+// float bit patterns, random byte strings and every kind; a non-finite
+// float, which encoding/json refuses, is null.
+func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
+	const alphabet = "a\"\\\x00\x1f\x7f\xe2\x80\xa8\xa9\xff\xc3\xa9<&>" // U+2028/9 pieces, invalid UTF-8
+	rng := rand.New(rand.NewSource(1))
+	vals := []Value{Null, NewBool(true), NewBool(false), NewInt(math.MinInt64), NewInt(1<<53 + 1),
+		NewFloat(math.Copysign(0, -1)), NewFloat(1e-6), NewFloat(1e21), NewDate(-1), NewDate(0), NewDate(10957)}
+	for i := 0; i < 5000; i++ {
+		b := make([]byte, rng.Intn(8))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		vals = append(vals, NewFloat(math.Float64frombits(rng.Uint64())), NewString(string(b)),
+			NewInt(rng.Int63()-rng.Int63()), NewDate(int64(rng.Intn(200000)-100000)))
+	}
+	for _, v := range vals {
+		got := v.AppendJSON(nil)
+		if v.K == KindFloat && (math.IsInf(v.F, 0) || math.IsNaN(v.F)) {
+			if string(got) != "null" {
+				t.Errorf("%v: %s, want null", v.F, got)
+			}
+			continue
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(v.JSONValue()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(append(got, '\n'), want.Bytes()) {
+			t.Errorf("%#v: %s, want %s", v, got, want.Bytes())
+		}
 	}
 }

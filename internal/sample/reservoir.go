@@ -110,20 +110,6 @@ func (r *Reservoir[T]) Cap() int { return r.capacity }
 // Seen returns how many stream items have been offered.
 func (r *Reservoir[T]) Seen() int64 { return r.seen }
 
-// Rate returns the effective sampling rate len/seen (1 if the stream is
-// shorter than the capacity). The inverse of this is the scale factor
-// used when estimating aggregates from the sample.
-func (r *Reservoir[T]) Rate() float64 {
-	if r.seen == 0 {
-		return 1
-	}
-	rate := float64(len(r.items)) / float64(r.seen)
-	if rate > 1 {
-		return 1
-	}
-	return rate
-}
-
 // ErrCapacityUnderflow is returned by Shrink when the requested capacity
 // is below 1. A reservoir cannot hold fewer than one item, and silently
 // clamping used to mask real sizing bugs (e.g. a Senate X/m target

@@ -31,9 +31,6 @@ func TestReservoirHoldsWholeShortStream(t *testing.T) {
 	if r.Len() != 7 || r.Seen() != 7 {
 		t.Fatalf("len=%d seen=%d, want 7,7", r.Len(), r.Seen())
 	}
-	if r.Rate() != 1 {
-		t.Errorf("rate=%v, want 1 for fully-held stream", r.Rate())
-	}
 }
 
 func TestReservoirNeverExceedsCapacity(t *testing.T) {
@@ -148,17 +145,6 @@ func TestReservoirShrink(t *testing.T) {
 	// capacity is a state only growth could produce.
 	if _, err := RestoreReservoir(&ReservoirState[int]{Capacity: 10, Seen: 50, Items: []int{1, 2, 3, 4, 5}}, rng); err == nil {
 		t.Fatal("restored a reservoir holding 5 of capacity 10 after 50 seen")
-	}
-}
-
-func TestReservoirRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	r := MustReservoir[int](25, rng)
-	for i := 0; i < 1000; i++ {
-		r.Offer(i)
-	}
-	if got, want := r.Rate(), 0.025; math.Abs(got-want) > 1e-12 {
-		t.Errorf("rate=%v, want %v", got, want)
 	}
 }
 

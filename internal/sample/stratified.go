@@ -7,29 +7,16 @@ import (
 
 // Stratum is one stratum of a stratified sample: the sampled items from
 // one finest-partitioning group, together with the group's population so
-// the sampling rate — and hence the scale factor 1/rate used by the
-// Section 5 rewrites — is known.
+// the scale factor used by the Section 5 rewrites is known.
 type Stratum[T any] struct {
 	Key        string // canonical group key (see core.GroupKey)
 	Population int64  // number of tuples of the base relation in this group (n_g)
 	Items      []T    // the sampled tuples
 }
 
-// Rate returns the stratum's sampling rate |Items|/Population, clamped
-// to 1 for tiny groups that are fully sampled.
-func (s *Stratum[T]) Rate() float64 {
-	if s.Population <= 0 {
-		return 1
-	}
-	r := float64(len(s.Items)) / float64(s.Population)
-	if r > 1 {
-		return 1
-	}
-	return r
-}
-
-// ScaleFactor returns the expansion factor 1/Rate applied to each
-// sampled tuple when estimating aggregates. A stratum with no sampled
+// ScaleFactor returns the expansion factor Population/|Items| — the
+// inverse of the stratum's sampling rate — applied to each sampled
+// tuple when estimating aggregates. A stratum with no sampled
 // items has scale factor 0 (it contributes nothing, and the group will
 // be missing from approximate answers — the failure mode congressional
 // samples exist to prevent).

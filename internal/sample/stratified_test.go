@@ -5,11 +5,8 @@ import (
 	"testing"
 )
 
-func TestStratumRateAndScaleFactor(t *testing.T) {
+func TestStratumScaleFactor(t *testing.T) {
 	s := &Stratum[int]{Key: "g", Population: 200, Items: []int{1, 2, 3, 4}}
-	if got := s.Rate(); math.Abs(got-0.02) > 1e-12 {
-		t.Errorf("rate=%v, want 0.02", got)
-	}
 	if got := s.ScaleFactor(); math.Abs(got-50) > 1e-12 {
 		t.Errorf("scale factor=%v, want 50", got)
 	}
@@ -19,14 +16,6 @@ func TestStratumEmptyAndDegenerate(t *testing.T) {
 	empty := &Stratum[int]{Key: "e", Population: 100}
 	if empty.ScaleFactor() != 0 {
 		t.Errorf("empty stratum scale factor = %v, want 0", empty.ScaleFactor())
-	}
-	zeroPop := &Stratum[int]{Key: "z", Population: 0, Items: nil}
-	if zeroPop.Rate() != 1 {
-		t.Errorf("zero-population rate = %v, want 1", zeroPop.Rate())
-	}
-	over := &Stratum[int]{Key: "o", Population: 2, Items: []int{1, 2, 3}}
-	if over.Rate() != 1 {
-		t.Errorf("over-full stratum rate = %v, want clamp to 1", over.Rate())
 	}
 }
 

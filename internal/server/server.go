@@ -439,30 +439,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	resp := client.QueryResponse{}
-	status := congress.CacheBypass
-	if req.Estimate != nil {
-		e := req.Estimate
-		agg, err := parseAggregate(e.Agg)
-		if err != nil {
+	var (
+		res    *congress.Result
+		ests   []estimate.GroupEstimate
+		status congress.CacheStatus
+		err    error
+	)
+	if e := req.Estimate; e != nil {
+		var agg estimate.Aggregate
+		if agg, err = parseAggregate(e.Agg); err != nil {
 			writeError(w, http.StatusBadRequest, "bad_query", err.Error())
 			return
 		}
-		var ests []estimate.GroupEstimate
 		ests, status, err = s.b.EstimateQueryOpts(ctx, e.Table, e.GroupBy, agg, e.Column, e.Confidence,
 			congress.ApproxOptions{NoCache: req.NoCache, NoHybrid: req.NoHybrid})
 		if err != nil {
 			s.writeMappedError(w, err, http.StatusBadRequest, "bad_query")
 			return
-		}
-		resp.Groups = make([]client.GroupEstimate, len(ests))
-		for i, g := range ests {
-			resp.Groups[i] = client.GroupEstimate{
-				Group:   congress.SplitEstimateKey(g.Key),
-				Value:   g.Value,
-				Bound:   g.Bound,
-				SampleN: g.SampleN,
-			}
 		}
 	} else {
 		sq, ok := s.b.(sqlBackend)
@@ -472,7 +465,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		opts := congress.ApproxOptions{NoCache: req.NoCache}
-		var err error
 		if req.Rewrite != "" {
 			if opts.Rewrite, err = congress.ParseRewriteStrategy(req.Rewrite); err != nil {
 				s.writeMappedError(w, err, http.StatusBadRequest, "bad_query")
@@ -480,18 +472,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			opts.UseRewrite = true
 		}
-		var res *congress.Result
-		res, status, err = sq.ApproxQuery(ctx, req.SQL, opts)
-		if err != nil {
+		if res, status, err = sq.ApproxQuery(ctx, req.SQL, opts); err != nil {
 			s.writeMappedError(w, err, http.StatusBadRequest, "bad_query")
 			return
 		}
-		resp.Columns, resp.Rows = resultToWire(res)
 	}
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	resp.Cache = status.String()
 	w.Header().Set(client.CacheHeader, status.String())
-	writeJSON(w, http.StatusOK, resp)
+	writeQueryReply(w, res, ests, float64(time.Since(start))/float64(time.Millisecond), status.String())
 }
 
 func (s *Server) handleExact(w http.ResponseWriter, r *http.Request) {
@@ -524,10 +511,7 @@ func (s *Server) handleExact(w http.ResponseWriter, r *http.Request) {
 		s.writeMappedError(w, err, http.StatusBadRequest, "bad_query")
 		return
 	}
-	var resp client.QueryResponse
-	resp.Columns, resp.Rows = resultToWire(res)
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, resp)
+	writeQueryReply(w, res, nil, float64(time.Since(start))/float64(time.Millisecond), "")
 }
 
 // rejectOnFollower answers writes with 503 + a Leader hint on follower
@@ -857,17 +841,4 @@ func parseAggregate(s string) (estimate.Aggregate, error) {
 	default:
 		return 0, fmt.Errorf("unknown aggregate %q (want sum|count|avg)", s)
 	}
-}
-
-// resultToWire converts an engine result to JSON-native columns/rows.
-func resultToWire(res *congress.Result) ([]string, [][]any) {
-	rows := make([][]any, len(res.Rows))
-	for i, r := range res.Rows {
-		out := make([]any, len(r))
-		for j, v := range r {
-			out[j] = v.JSONValue()
-		}
-		rows[i] = out
-	}
-	return res.Columns, rows
 }

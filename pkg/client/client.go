@@ -88,23 +88,37 @@ func (c *Client) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 	if err != nil {
 		return nil, err
 	}
-	var out QueryResponse
-	if err := decodeReply(resp, &out); err != nil {
+	out, err := queryReply(resp)
+	if err != nil {
 		return nil, err
 	}
 	if h := resp.Header.Get(CacheHeader); h != "" {
 		out.Cache = h
 	}
-	return &out, nil
+	return out, nil
 }
 
 // Exact answers a query exactly against the base tables.
 func (c *Client) Exact(ctx context.Context, req ExactRequest) (*QueryResponse, error) {
-	var out QueryResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/exact", req, &out); err != nil {
+	resp, err := c.raw(ctx, http.MethodPost, "/v1/exact", req, "")
+	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	return queryReply(resp)
+}
+
+// queryReply reads a /v1/query or /v1/exact reply whole and decodes it
+// with DecodeQueryResponse; a non-2xx reply is an *APIError.
+func queryReply(resp *http.Response) (*QueryResponse, error) {
+	defer resp.Body.Close()
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return nil, decodeError(resp)
+	}
+	body, err := readSized(resp)
+	if err != nil {
+		return nil, fmt.Errorf("client: reading query reply: %w", err)
+	}
+	return DecodeQueryResponse(body)
 }
 
 // Insert appends rows to a table (feeding any synopsis maintainer) and

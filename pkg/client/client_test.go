@@ -45,6 +45,14 @@ func TestConnectionSurvivesEveryReplySize(t *testing.T) {
 		}
 		return func(w http.ResponseWriter, r *http.Request) { replyJSON(w, resp) }
 	}
+	sized := func(h http.HandlerFunc) http.HandlerFunc { // the reply as congressd sends it: one body with a Content-Length
+		return func(w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			h(rec, r)
+			w.Header().Set("Content-Length", strconv.Itoa(rec.Body.Len()))
+			w.Write(rec.Body.Bytes())
+		}
+	}
 	callQuery := func(c *Client) error {
 		_, err := c.Query(context.Background(), QueryRequest{Estimate: &EstimateRequest{Table: "t", Agg: "sum", Column: "v"}})
 		return err
@@ -64,6 +72,7 @@ func TestConnectionSurvivesEveryReplySize(t *testing.T) {
 		{"query/10 groups", query(10), callQuery},
 		{"query/100 groups", query(100), callQuery},
 		{"query/1000 groups", query(1000), callQuery},
+		{"query/1000 groups, sized", sized(query(1000)), callQuery},
 		{"partials/json", func(w http.ResponseWriter, r *http.Request) {
 			replyJSON(w, PartialsResponse{Partials: somePartials(1000)})
 		}, callPartials},

@@ -62,11 +62,15 @@ func estimateKeys(ests []GroupEstimate) []string {
 // distinct keys. Over the empty grouping and both orders of a
 // two-column one, the cube's keys and the sample scan's keys must be the
 // same set, and a group whose amount is entirely NULL is absent from
-// both.
+// both. A group whose region is the empty string keys it as an empty
+// part in both.
 func TestHybridEstimateAnswersExactByDefault(t *testing.T) {
 	w, tbl := buildSalesWarehouse(t)
 	for i := 0; i < 40; i++ {
 		if err := tbl.Insert(Str("void"), Str("ink"), engine.Null); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Insert(Str(""), Str("ink"), F(float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}

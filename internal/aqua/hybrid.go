@@ -1,7 +1,8 @@
 package aqua
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"github.com/approxdb/congress/internal/datacube"
@@ -124,9 +125,10 @@ func (s *Synopsis) ExactPartials(groupCols []int, aggCol int) ([]estimate.GroupP
 		return nil, false
 	}
 	// Map each requested column to its position in G; the projection mask
-	// selects those positions, and perm rebuilds keys in request order
-	// from the cube's G-ordered key parts.
-	mask := uint32(0)
+	// selects those positions. The cube visits keys in sorted order with
+	// parts in G order, so a request in G order (each position above the
+	// last) takes the cube's keys and order as they are.
+	mask, inOrder := uint32(0), true
 	positions := make([]int, len(groupCols))
 	for i, ci := range groupCols {
 		pos, ok := s.exactGroupPos[ci]
@@ -134,45 +136,38 @@ func (s *Synopsis) ExactPartials(groupCols []int, aggCol int) ([]estimate.GroupP
 			return nil, false
 		}
 		positions[i] = pos
+		inOrder = inOrder && mask>>uint(pos) == 0
 		mask |= 1 << uint(pos)
 	}
-	// Rank the *distinct* selected positions in ascending G order — the
-	// order GroupID.Project emits key parts in. Duplicate requested
-	// columns map to the same part.
-	selected := append([]int(nil), positions...)
-	sort.Ints(selected)
-	rank := make(map[int]int, len(selected))
-	for _, pos := range selected {
-		if _, seen := rank[pos]; !seen {
-			rank[pos] = len(rank)
-		}
-	}
 
-	var out []estimate.GroupPartial
+	out := make([]estimate.GroupPartial, 0, s.exact.NumGroups(mask))
 	found := s.exact.MeasureGroupsUnder(mask, measure, func(key string, count int64, sum float64, nonNull int64) {
 		if nonNull == 0 {
 			// Every row's aggregate value is NULL: the sample path never
 			// observes a passing row for this group and drops it; match.
 			return
 		}
-		outKey := key
-		if len(groupCols) == 0 {
-			outKey = ""
-		} else {
+		if !inOrder {
+			// Rebuild the key in request order. The cube key holds the
+			// selected parts in G order, so G position pos is the part
+			// whose index counts the selected positions below pos; a
+			// repeated column reads the same part.
 			parts := strings.Split(key, datacube.KeySep)
 			ordered := make([]string, len(groupCols))
 			for i, pos := range positions {
-				ordered[i] = parts[rank[pos]]
+				ordered[i] = parts[bits.OnesCount32(mask&(1<<uint(pos)-1))]
 			}
-			outKey = strings.Join(ordered, datacube.KeySep)
+			key = strings.Join(ordered, datacube.KeySep)
 		}
 		m := interval.NewMoments()
 		m.ExactSum, m.ExactCount = sum, float64(nonNull)
-		out = append(out, estimate.GroupPartial{Key: outKey, Moments: m})
+		out = append(out, estimate.GroupPartial{Key: key, Moments: m})
 	})
 	if !found {
 		return nil, false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	if !inOrder {
+		slices.SortFunc(out, func(a, b estimate.GroupPartial) int { return strings.Compare(a.Key, b.Key) })
+	}
 	return out, true
 }

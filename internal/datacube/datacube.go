@@ -10,7 +10,9 @@ package datacube
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
+	"sync/atomic"
 )
 
 // KeySep separates per-attribute key components inside a composite group
@@ -23,23 +25,30 @@ const KeySep = "\x1f"
 type GroupID []string
 
 // Project returns the composite key of the group this tuple belongs to
-// under the grouping selected by mask (bit i set = attribute i present).
-// The empty grouping projects to the empty string: all tuples share one
-// group, per the paper's convention that a query with no group-by
-// returns a single group.
+// under the grouping selected by mask (bit i set = attribute i present):
+// the selected parts in attribute order, joined by KeySep, so an empty
+// part still takes its place. The empty grouping projects to the empty
+// string: all tuples share one group, per the paper's convention that a
+// query with no group-by returns a single group.
 func (g GroupID) Project(mask uint32) string {
-	if mask == 0 {
+	n := -len(KeySep)
+	for i, part := range g {
+		if mask&(1<<uint(i)) != 0 {
+			n += len(KeySep) + len(part)
+		}
+	}
+	if n < 0 {
 		return ""
 	}
 	var b strings.Builder
+	b.Grow(n)
+	sep := ""
 	for i, part := range g {
-		if mask&(1<<uint(i)) == 0 {
-			continue
+		if mask&(1<<uint(i)) != 0 {
+			b.WriteString(sep)
+			b.WriteString(part)
+			sep = KeySep
 		}
-		if b.Len() > 0 {
-			b.WriteString(KeySep)
-		}
-		b.WriteString(part)
 	}
 	return b.String()
 }
@@ -63,6 +72,14 @@ type Cube struct {
 	mIndex   map[string]int
 	sums     [][]map[string]float64 // sums[measure][mask][compositeKey]
 	nonNull  [][]map[string]int64   // nonNull[measure][mask][compositeKey]
+
+	// sorted[mask] caches the keys of counts[mask] in sorted order for
+	// MeasureGroupsUnder. Groups are only ever added, so a cached slice
+	// is current while its length equals the mask's group count.
+	// Concurrent readers may each rebuild it; any stored slice is right.
+	sorted []atomic.Pointer[[]string]
+	// keyBuf holds the tuple being added's key under every mask.
+	keyBuf []string
 }
 
 // MaxAttrs bounds the number of grouping attributes; the cube costs
@@ -81,6 +98,8 @@ func New(attrs []string) (*Cube, error) {
 		attrs:  append([]string(nil), attrs...),
 		counts: make([]map[string]int64, 1<<uint(len(attrs))),
 		ids:    make(map[string]GroupID),
+		sorted: make([]atomic.Pointer[[]string], 1<<uint(len(attrs))),
+		keyBuf: make([]string, 1<<uint(len(attrs))),
 	}
 	for i := range c.counts {
 		c.counts[i] = make(map[string]int64)
@@ -109,18 +128,43 @@ func (c *Cube) NumGroupings() int { return len(c.counts) }
 // Add records one tuple belonging to the given finest group, updating
 // every grouping's counter.
 func (c *Cube) Add(id GroupID) error {
+	return c.AddN(id, 1)
+}
+
+// addN validates id and n, records n tuples of the group id under
+// every grouping and returns the group's key under each mask (indexed
+// by mask; valid until the next add). Each key equals id.Project(mask)
+// and is built once, from the key of the mask without its highest
+// attribute. n == 0 leaves the counts alone but still returns the keys.
+func (c *Cube) addN(id GroupID, n int64) ([]string, error) {
 	if len(id) != len(c.attrs) {
-		return fmt.Errorf("datacube: group id has %d parts, cube has %d attributes", len(id), len(c.attrs))
+		return nil, fmt.Errorf("datacube: group id has %d parts, cube has %d attributes", len(id), len(c.attrs))
 	}
-	for mask := uint32(0); int(mask) < len(c.counts); mask++ {
-		c.counts[mask][id.Project(mask)]++
+	if n < 0 {
+		return nil, fmt.Errorf("datacube: negative group count %d", n)
 	}
-	finest := id.Key()
+	keys := c.keyBuf
+	keys[0] = ""
+	for mask := 1; mask < len(keys); mask++ {
+		hi := bits.Len(uint(mask)) - 1
+		if rest := mask &^ (1 << hi); rest == 0 {
+			keys[mask] = id[hi]
+		} else {
+			keys[mask] = keys[rest] + KeySep + id[hi]
+		}
+	}
+	if n == 0 {
+		return keys, nil
+	}
+	for mask, key := range keys {
+		c.counts[mask][key] += n
+	}
+	finest := keys[len(keys)-1]
 	if _, ok := c.ids[finest]; !ok {
 		c.ids[finest] = append(GroupID(nil), id...)
 	}
-	c.total++
-	return nil
+	c.total += n
+	return keys, nil
 }
 
 // ID returns the GroupID that produced the given finest-group key.

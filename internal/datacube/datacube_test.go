@@ -39,6 +39,17 @@ func TestProject(t *testing.T) {
 	if got := g.Key(); got != "A"+KeySep+"B"+KeySep+"C" {
 		t.Errorf("finest key = %q", got)
 	}
+	// An empty part keeps its place, as in strings.Join.
+	e := id("", "B", "")
+	if got := e.Project(0b011); got != KeySep+"B" {
+		t.Errorf("empty first part: mask 011 = %q", got)
+	}
+	if got := e.Project(0b101); got != KeySep {
+		t.Errorf("two empty parts: mask 101 = %q", got)
+	}
+	if got := e.Project(0b001); got != "" {
+		t.Errorf("one empty part: mask 001 = %q", got)
+	}
 }
 
 func TestAddArityCheck(t *testing.T) {

@@ -1,6 +1,9 @@
 package datacube
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Measure support: beyond tuple counts, a cube can carry exact SUM and
 // non-null COUNT prefixes for a set of measure columns, maintained for
@@ -67,15 +70,15 @@ func (c *Cube) AddMeasured(id GroupID, vals []MeasureValue) error {
 	if len(vals) != len(c.measures) {
 		return fmt.Errorf("datacube: %d measure values, cube tracks %d measures", len(vals), len(c.measures))
 	}
-	if err := c.Add(id); err != nil {
+	keys, err := c.addN(id, 1)
+	if err != nil {
 		return err
 	}
 	for mi, mv := range vals {
 		if !mv.OK {
 			continue
 		}
-		for mask := uint32(0); int(mask) < len(c.counts); mask++ {
-			key := id.Project(mask)
+		for mask, key := range keys {
 			c.sums[mi][mask][key] += mv.V
 			c.nonNull[mi][mask][key]++
 		}
@@ -92,22 +95,22 @@ func (c *Cube) AddMeasuredN(id GroupID, n int64, sums []float64, nonNull []int64
 		return fmt.Errorf("datacube: measure batch has %d/%d entries, cube tracks %d measures",
 			len(sums), len(nonNull), len(c.measures))
 	}
-	// Validate before touching any counter: AddN mutates every mask, and
+	// Validate before touching any counter: addN mutates every mask, and
 	// a rejected batch must leave the cube exactly as it was.
 	for mi := range c.measures {
 		if nonNull[mi] < 0 {
 			return fmt.Errorf("datacube: negative non-null count %d for measure %q", nonNull[mi], c.measures[mi])
 		}
 	}
-	if err := c.AddN(id, n); err != nil {
+	keys, err := c.addN(id, n)
+	if err != nil {
 		return err
 	}
 	for mi := range c.measures {
 		if nonNull[mi] == 0 && sums[mi] == 0 {
 			continue
 		}
-		for mask := uint32(0); int(mask) < len(c.counts); mask++ {
-			key := id.Project(mask)
+		for mask, key := range keys {
 			c.sums[mi][mask][key] += sums[mi]
 			c.nonNull[mi][mask][key] += nonNull[mi]
 		}
@@ -115,41 +118,38 @@ func (c *Cube) AddMeasuredN(id GroupID, n int64, sums []float64, nonNull []int64
 	return nil
 }
 
-// MeasureSum returns the exact SUM of the measure column over the group
-// identified by key under grouping mask. ok=false if the column is not a
-// tracked measure.
-func (c *Cube) MeasureSum(mask uint32, key, col string) (float64, bool) {
-	mi, ok := c.mIndex[col]
-	if !ok {
-		return 0, false
-	}
-	return c.sums[mi][mask][key], true
-}
-
-// MeasureNonNull returns the exact non-null COUNT of the measure column
-// over the group identified by key under grouping mask.
-func (c *Cube) MeasureNonNull(mask uint32, key, col string) (int64, bool) {
-	mi, ok := c.mIndex[col]
-	if !ok {
-		return 0, false
-	}
-	return c.nonNull[mi][mask][key], true
-}
-
 // MeasureGroupsUnder calls fn for each non-empty group under grouping
 // mask with the group's tuple count and the named measure's exact sum
-// and non-null count. Returns false (without iterating) if the column is
-// not a tracked measure. Iteration order is unspecified.
+// and non-null count, in ascending key order. Returns false (without
+// iterating) if the column is not a tracked measure. The sorted keys
+// are cached per mask and re-sorted only after the mask gains groups,
+// so concurrent readers (holding no lock that excludes each other) may
+// call it; a writer must not run beside them.
 func (c *Cube) MeasureGroupsUnder(mask uint32, col string, fn func(key string, count int64, sum float64, nonNull int64)) bool {
 	mi, ok := c.mIndex[col]
 	if !ok {
 		return false
 	}
-	sums, nn := c.sums[mi][mask], c.nonNull[mi][mask]
-	for k, n := range c.counts[mask] {
-		fn(k, n, sums[k], nn[k])
+	counts, sums, nn := c.counts[mask], c.sums[mi][mask], c.nonNull[mi][mask]
+	for _, k := range c.sortedKeys(mask) {
+		fn(k, counts[k], sums[k], nn[k])
 	}
 	return true
+}
+
+// sortedKeys returns the keys of grouping mask in ascending order.
+func (c *Cube) sortedKeys(mask uint32) []string {
+	counts := c.counts[mask]
+	if p := c.sorted[mask].Load(); p != nil && len(*p) == len(counts) {
+		return *p
+	}
+	keys := make([]string, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	c.sorted[mask].Store(&keys)
+	return keys
 }
 
 // sameMeasures reports whether two cubes track the same measure list in

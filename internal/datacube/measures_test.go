@@ -3,10 +3,23 @@ package datacube
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
 func measured(v float64) MeasureValue { return MeasureValue{V: v, OK: true} }
+
+// measureOf reads one group's exact sum and non-null count of col under
+// mask through MeasureGroupsUnder; ok is false for an untracked column.
+func measureOf(c *Cube, mask uint32, key, col string) (sum float64, nonNull int64, ok bool) {
+	ok = c.MeasureGroupsUnder(mask, col, func(k string, _ int64, s float64, nn int64) {
+		if k == key {
+			sum, nonNull = s, nn
+		}
+	})
+	return sum, nonNull, ok
+}
 
 func TestNewWithMeasuresValidation(t *testing.T) {
 	if _, err := NewWithMeasures([]string{"a"}, []string{""}); err == nil {
@@ -26,8 +39,8 @@ func TestNewWithMeasuresValidation(t *testing.T) {
 	if err := c.AddMeasured(id("x"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.MeasureSum(0, "", "q"); ok {
-		t.Error("MeasureSum answered for untracked column")
+	if _, _, ok := measureOf(c, 0, "", "q"); ok {
+		t.Error("MeasureGroupsUnder answered for untracked column")
 	}
 }
 
@@ -58,13 +71,9 @@ func TestAddMeasuredPrefixesAllMasks(t *testing.T) {
 
 	check := func(mask uint32, key, col string, wantSum float64, wantNN int64) {
 		t.Helper()
-		s, ok := c.MeasureSum(mask, key, col)
-		if !ok || s != wantSum {
-			t.Errorf("MeasureSum(%b, %q, %s) = %v/%v, want %v", mask, key, col, s, ok, wantSum)
-		}
-		nn, ok := c.MeasureNonNull(mask, key, col)
-		if !ok || nn != wantNN {
-			t.Errorf("MeasureNonNull(%b, %q, %s) = %v/%v, want %v", mask, key, col, nn, ok, wantNN)
+		s, nn, ok := measureOf(c, mask, key, col)
+		if !ok || s != wantSum || nn != wantNN {
+			t.Errorf("measure (%b, %q, %s) = %v, %v/%v, want %v, %v", mask, key, col, s, nn, ok, wantSum, wantNN)
 		}
 	}
 	// Finest grouping (A,B): the NULL q row counts for the tuple count
@@ -149,8 +158,7 @@ func TestMeasureMergeCloneRestoreEquivalence(t *testing.T) {
 					if gc := got.Count(mask, key); gc != count {
 						t.Errorf("%s mask %b %q: count %d != %d", name, mask, key, gc, count)
 					}
-					gs, _ := got.MeasureSum(mask, key, col)
-					gn, _ := got.MeasureNonNull(mask, key, col)
+					gs, gn, _ := measureOf(got, mask, key, col)
 					// Merge and restore add the same float values in a
 					// different order (per finest group), so sums match
 					// exactly only up to reassociation; counts are integers
@@ -173,7 +181,7 @@ func TestMeasureMergeCloneRestoreEquivalence(t *testing.T) {
 	if err := clone.AddMeasured(id("a0", "b0", "c0"), []MeasureValue{measured(1e9), measured(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := seq.MeasureSum(0, "", "q"); got >= 1e9 {
+	if got, _, _ := measureOf(seq, 0, "", "q"); got >= 1e9 {
 		t.Error("Clone shares measure maps with the original")
 	}
 
@@ -198,12 +206,136 @@ func TestAddMeasuredNValidation(t *testing.T) {
 	if err := c.AddMeasuredN(id("x"), 2, []float64{10}, []int64{2}); err != nil {
 		t.Fatal(err)
 	}
-	if s, _ := c.MeasureSum(0b1, "x", "q"); s != 10 {
+	if s, _, _ := measureOf(c, 0b1, "x", "q"); s != 10 {
 		t.Errorf("batch sum %v, want 10", s)
 	}
 	if n := c.Count(0b1, "x"); n != 2 {
 		t.Errorf("batch count %d, want 2", n)
 	}
+}
+
+// TestMeasureGroupsUnderSorted: every mask is visited in ascending key
+// order, also after a mask gains groups between two visits (the cached
+// order must not be served stale), and also when readers race to build
+// the cache.
+func TestMeasureGroupsUnderSorted(t *testing.T) {
+	c, err := NewWithMeasures([]string{"A", "B"}, []string{"q"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keysOf := func(mask uint32) []string {
+		var keys []string
+		c.MeasureGroupsUnder(mask, "q", func(k string, _ int64, _ float64, _ int64) { keys = append(keys, k) })
+		return keys
+	}
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 20; i++ {
+			gid := id(fmt.Sprintf("a%d", rng.Intn(9+round*10)), fmt.Sprintf("b%d", rng.Intn(5)))
+			if err := c.AddMeasured(gid, []MeasureValue{measured(1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for mask := uint32(0); int(mask) < c.NumGroupings(); mask++ {
+					c.sortedKeys(mask)
+				}
+			}()
+		}
+		wg.Wait()
+		for mask := uint32(0); int(mask) < c.NumGroupings(); mask++ {
+			keys := keysOf(mask)
+			if len(keys) != c.NumGroups(mask) || !slices.IsSorted(keys) {
+				t.Fatalf("round %d mask %b: %d keys of %d, sorted %v", round, mask, len(keys), c.NumGroups(mask), slices.IsSorted(keys))
+			}
+		}
+	}
+}
+
+// TestAddMeasuredKeysMatchProject: the cube's cells equal a feed that
+// builds every key with GroupID.Project, for counts and every measure,
+// bit for bit, through AddMeasured and AddMeasuredN alike.
+func TestAddMeasuredKeysMatchProject(t *testing.T) {
+	attrs, meas := []string{"A", "B", "C"}, []string{"q", "p"}
+	c, err := NewWithMeasures(attrs, meas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 1 << len(attrs)
+	counts := make([]map[string]int64, n)
+	sums := make([][]map[string]float64, len(meas))
+	nonNull := make([][]map[string]int64, len(meas))
+	for mask := range counts {
+		counts[mask] = map[string]int64{}
+	}
+	for mi := range meas {
+		sums[mi], nonNull[mi] = make([]map[string]float64, n), make([]map[string]int64, n)
+		for mask := 0; mask < n; mask++ {
+			sums[mi][mask], nonNull[mi][mask] = map[string]float64{}, map[string]int64{}
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 2000; i++ {
+		gid := id(fmt.Sprintf("a%d", rng.Intn(4)), "", fmt.Sprintf("c%d", rng.Intn(30)))
+		if rng.Intn(2) == 0 {
+			gid[1] = fmt.Sprintf("b%d", rng.Intn(3))
+		}
+		count, vals := int64(1), []float64{rng.NormFloat64() * 1e3, rng.Float64()}
+		nn := []int64{int64(rng.Intn(2)), 1}
+		if i%3 == 0 {
+			count = int64(rng.Intn(4))
+			nn = []int64{int64(rng.Intn(3)), int64(rng.Intn(3))}
+			if err := c.AddMeasuredN(gid, count, vals, nn); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			mv := []MeasureValue{{V: vals[0], OK: nn[0] == 1}, {V: vals[1], OK: true}}
+			if err := c.AddMeasured(gid, mv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for mask := uint32(0); int(mask) < n; mask++ {
+			key := gid.Project(mask)
+			if count > 0 {
+				counts[mask][key] += count
+			}
+			for mi := range meas {
+				if nn[mi] == 0 && (i%3 != 0 || vals[mi] == 0) {
+					continue
+				}
+				sums[mi][mask][key] += vals[mi]
+				nonNull[mi][mask][key] += nn[mi]
+			}
+		}
+	}
+	for mask := 0; mask < n; mask++ {
+		if !mapsEqual(c.counts[mask], counts[mask]) {
+			t.Errorf("mask %b: counts differ", mask)
+		}
+		for mi := range meas {
+			if !mapsEqual(c.sums[mi][mask], sums[mi][mask]) || !mapsEqual(c.nonNull[mi][mask], nonNull[mi][mask]) {
+				t.Errorf("mask %b measure %s: cells differ", mask, meas[mi])
+			}
+		}
+	}
+}
+
+// mapsEqual compares two maps cell by cell.
+func mapsEqual[V int64 | float64](a, b map[string]V) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		w, ok := b[k]
+		if !ok || v != w {
+			return false
+		}
+	}
+	return true
 }
 
 func abs(x float64) float64 {

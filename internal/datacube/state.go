@@ -33,24 +33,8 @@ type CubeState struct {
 // updating every grouping's counter. It is Add generalized to a batch;
 // Restore uses it to rebuild coarser masks from finest-group counts.
 func (c *Cube) AddN(id GroupID, n int64) error {
-	if len(id) != len(c.attrs) {
-		return fmt.Errorf("datacube: group id has %d parts, cube has %d attributes", len(id), len(c.attrs))
-	}
-	if n < 0 {
-		return fmt.Errorf("datacube: negative group count %d", n)
-	}
-	if n == 0 {
-		return nil
-	}
-	for mask := uint32(0); int(mask) < len(c.counts); mask++ {
-		c.counts[mask][id.Project(mask)] += n
-	}
-	finest := id.Key()
-	if _, ok := c.ids[finest]; !ok {
-		c.ids[finest] = append(GroupID(nil), id...)
-	}
-	c.total += n
-	return nil
+	_, err := c.addN(id, n)
+	return err
 }
 
 // State exports the cube's serializable state. Groups are sorted by

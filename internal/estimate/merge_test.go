@@ -44,7 +44,7 @@ func synthSample(seed int64, strata int, keep func(float64) bool) *sample.Strati
 // partitionByRouter splits a stratified sample into k parts, whole
 // strata routed by the production hash router — the same partition a
 // sharded warehouse induces.
-func partitionByRouter(t *testing.T, st *sample.Stratified[engine.Row], k int) []*sample.Stratified[engine.Row] {
+func partitionByRouter(t testing.TB, st *sample.Stratified[engine.Row], k int) []*sample.Stratified[engine.Row] {
 	t.Helper()
 	r, err := shard.NewRouter(k)
 	if err != nil {

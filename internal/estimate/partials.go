@@ -1,10 +1,10 @@
 package estimate
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"github.com/approxdb/congress/internal/datacube"
@@ -48,28 +48,40 @@ func emptyPartial(key string) GroupPartial {
 // "". A row whose measure is NULL contributes nothing. No statistic
 // that depends on the aggregate or confidence level is taken here.
 // Cancellation is observed once per gatherChunk rows of a stratum.
+//
+// Which strata share a group, and the group keys, come from the view's
+// slotPlan for the projection of G that groupCols select, built once
+// per view. Keys are joined here only when groupCols list G's columns
+// out of G's order or more than once.
 func PartialsCtx(ctx context.Context, v *Strata, groupCols []int, valueCol int) ([]GroupPartial, error) {
-	pos := make([]int, len(groupCols))
-	for i, c := range groupCols {
-		if pos[i] = slices.Index(v.gCols, c); pos[i] < 0 {
+	mask, inOrder := uint32(0), true
+	for _, c := range groupCols {
+		p := slices.Index(v.gCols, c)
+		if p < 0 {
 			return nil, fmt.Errorf("estimate: column %d is not in the synopsis grouping", c)
 		}
+		// In G order means every position is above all earlier ones.
+		inOrder = inOrder && mask>>uint(p) == 0
+		mask |= 1 << uint(p)
 	}
-	parts := make([]string, len(pos))
-	out := []GroupPartial{}
-	index := make(map[string]int) // key -> position in out
-	cell := func(s *StratumRange) *GroupPartial {
-		for i, p := range pos {
-			parts[i] = s.Parts[p]
+	plan := v.plan(mask)
+	out := make([]GroupPartial, len(plan.keys))
+	if inOrder {
+		for j, key := range plan.keys {
+			out[j] = emptyPartial(key)
 		}
-		key := strings.Join(parts, datacube.KeySep)
-		j, ok := index[key]
-		if !ok {
-			j = len(out)
-			index[key] = j
-			out = append(out, emptyPartial(key))
+	} else {
+		pos := make([]int, len(groupCols))
+		for i, c := range groupCols {
+			pos[i] = slices.Index(v.gCols, c)
 		}
-		return &out[j]
+		parts := make([]string, len(pos))
+		for j, r := range plan.first {
+			for i, p := range pos {
+				parts[i] = v.ranges[r].Parts[p]
+			}
+			out[j] = emptyPartial(strings.Join(parts, datacube.KeySep))
+		}
 	}
 
 	lane := v.batch.FloatLane(valueCol)
@@ -96,7 +108,7 @@ func PartialsCtx(ctx context.Context, v *Strata, groupCols []int, valueCol int) 
 				}
 			}
 		}
-		c := cell(s)
+		c := &out[plan.slot[i]]
 		if acc.N() == 0 {
 			// Zero-contribution stratum: every sampled measure is NULL.
 			// The group's partial records it explicitly so a merge (and
@@ -118,30 +130,85 @@ func PartialsCtx(ctx context.Context, v *Strata, groupCols []int, valueCol int) 
 // in some inputs and absent from others merge as if absent inputs
 // contributed the empty partial. The output is sorted by group key, so
 // the merge is deterministic regardless of shard completion order.
+//
+// It is a k-way merge over the inputs in key order. An input that is
+// not sorted by key (finest sample partials are in stratum order) is
+// read through a sorted index permutation; no input is modified. The
+// partials of one key merge in input order, then position order: the
+// order, and so the float bits, of merging every list front to back.
 func MergePartials(parts ...[]GroupPartial) []GroupPartial {
-	merged := make(map[string]*GroupPartial)
+	cur := make([]mergeCursor, 0, len(parts))
+	total := 0
 	for _, list := range parts {
-		for i := range list {
-			p := &list[i]
-			m := merged[p.Key]
-			if m == nil {
-				cp := *p
-				merged[p.Key] = &cp
-				continue
+		if len(list) == 0 {
+			continue
+		}
+		c := mergeCursor{list: list}
+		if !slices.IsSortedFunc(list, func(a, b GroupPartial) int { return strings.Compare(a.Key, b.Key) }) {
+			c.order = make([]int32, len(list))
+			for i := range c.order {
+				c.order[i] = int32(i)
 			}
-			m.Merge(&p.Moments)
+			slices.SortFunc(c.order, func(a, b int32) int {
+				if d := strings.Compare(list[a].Key, list[b].Key); d != 0 {
+					return d
+				}
+				return cmp.Compare(a, b)
+			})
+		}
+		cur = append(cur, c)
+		total += len(list)
+	}
+	out := make([]GroupPartial, 0, total)
+	for {
+		var key string
+		found := false
+		for i := range cur {
+			if p := cur[i].head(); p != nil && (!found || p.Key < key) {
+				key, found = p.Key, true
+			}
+		}
+		if !found {
+			return out
+		}
+		var m *GroupPartial
+		for i := range cur {
+			for p := cur[i].head(); p != nil && p.Key == key; p = cur[i].next() {
+				if m == nil {
+					out = append(out, *p)
+					m = &out[len(out)-1]
+				} else {
+					m.Merge(&p.Moments)
+				}
+			}
 		}
 	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
+}
+
+// mergeCursor reads one MergePartials input in key order: list itself
+// when order is nil, else list through order.
+type mergeCursor struct {
+	list  []GroupPartial
+	order []int32
+	at    int
+}
+
+// head returns the cursor's current partial, nil when it is exhausted.
+func (c *mergeCursor) head() *GroupPartial {
+	switch {
+	case c.at == len(c.list):
+		return nil
+	case c.order == nil:
+		return &c.list[c.at]
+	default:
+		return &c.list[c.order[c.at]]
 	}
-	sort.Strings(keys)
-	out := make([]GroupPartial, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, *merged[k])
-	}
-	return out
+}
+
+// next advances the cursor and returns its new head.
+func (c *mergeCursor) next() *GroupPartial {
+	c.at++
+	return c.head()
 }
 
 // Finalize turns merged partials into estimates with confidence bounds,

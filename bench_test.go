@@ -24,16 +24,12 @@ import (
 	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/metrics"
 	"github.com/approxdb/congress/internal/rewrite"
-	"github.com/approxdb/congress/internal/sample"
 	"github.com/approxdb/congress/internal/sqlparse"
 	"github.com/approxdb/congress/internal/tpcd"
 	"github.com/approxdb/congress/internal/workload"
 )
 
 var benchRows = flag.Int("congress.rows", 60_000, "table size for paper benchmarks")
-
-// sampleStratumB abbreviates the stratum type in benchmarks.
-type sampleStratumB = sample.Stratum[engine.Row]
 
 // benchParams returns the scaled Table 1 defaults used by the accuracy
 // benchmarks.
@@ -451,12 +447,12 @@ func BenchmarkAblationUpdateCost(b *testing.B) {
 	}
 	var key string
 	biggest := 0
-	syn.Sample().Each(func(s *sampleStratumB) {
-		if len(s.Items) > biggest {
-			biggest = len(s.Items)
-			key = s.Key
+	for _, r := range syn.Strata().Ranges() {
+		if r.Hi-r.Lo > biggest {
+			biggest = r.Hi - r.Lo
+			key = r.Key
 		}
-	})
+	}
 	for _, strat := range []rewrite.Strategy{rewrite.Integrated, rewrite.Normalized, rewrite.KeyNormalized} {
 		b.Run(strat.String(), func(b *testing.B) {
 			touched := 0

@@ -12,17 +12,9 @@
 //
 //	congressd serve -addr :8642 -data-dir /var/lib/congressd -fsync interval
 //
-// With -shards K the warehouse is partitioned by hash of the routing
-// key across K in-process shard warehouses and queries are answered by
-// scatter-gather estimation. In-process shards share one process and
-// hold no data directories of their own, so -shards cannot be combined
-// with -data-dir:
-//
-//	congressd serve -addr :8642 -shards 4 -rows 200000 -groups 1000
-//
-// Distributed sharding runs each shard as its own congressd process —
-// each with its own durable -data-dir if desired — and fronts them with
-// a coordinator. A shard process carves out its partition of the
+// Sharding runs each shard as its own congressd process — each with
+// its own durable -data-dir if desired — and fronts them with a
+// coordinator. A shard process carves out its partition of the
 // generated table with -shard-index/-shard-total (all processes must
 // agree on -seed, -rows and the grouping so they partition one
 // logical relation); the coordinator routes inserts by the finest
@@ -59,7 +51,6 @@ import (
 	"time"
 
 	congress "github.com/approxdb/congress"
-	"github.com/approxdb/congress/internal/core"
 	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/repl"
 	"github.com/approxdb/congress/internal/server"
@@ -162,11 +153,11 @@ func loadRelation(wf *warehouseFlags, log *slog.Logger) (*engine.Relation, error
 }
 
 // shardPartition filters a loaded relation down to one shard's slice:
-// the rows whose finest grouping key routes to -shard-index under a
-// -shard-total-way hash router — exactly the partition a coordinator
-// with the same membership size sends this process. Every shard process
-// loading the same relation deterministically carves a disjoint slice,
-// so together they hold it exactly once.
+// the rows whose finest grouping key routes to -shard-index among
+// -shard-total shards — exactly the partition a coordinator with the
+// same membership size sends this process. Every shard process loading
+// the same relation deterministically carves a disjoint slice, so
+// together they hold it exactly once.
 func shardPartition(rel *engine.Relation, wf *warehouseFlags) (*engine.Relation, error) {
 	if *wf.shardTotal <= *wf.shardIndex {
 		return nil, fmt.Errorf("serve: -shard-index %d needs -shard-total > it, got %d", *wf.shardIndex, *wf.shardTotal)
@@ -175,25 +166,11 @@ func shardPartition(rel *engine.Relation, wf *warehouseFlags) (*engine.Relation,
 	if *wf.groupCols != "" {
 		grouping = splitCSV(*wf.groupCols)
 	}
-	g, err := core.NewGrouping(rel.Schema, grouping)
+	parts, err := shard.Partition(rel, grouping, *wf.shardTotal)
 	if err != nil {
 		return nil, err
 	}
-	router, err := shard.NewRouter(*wf.shardTotal)
-	if err != nil {
-		return nil, err
-	}
-	var part []engine.Row
-	for _, row := range rel.Rows() {
-		if router.Route(g.Key(row)) == *wf.shardIndex {
-			part = append(part, row)
-		}
-	}
-	sliced := engine.NewRelation(rel.Name, rel.Schema)
-	if err := sliced.InsertAll(part); err != nil {
-		return nil, err
-	}
-	return sliced, nil
+	return parts[*wf.shardIndex], nil
 }
 
 // synopsisSpecFor resolves the strategy/rewrite/grouping flags into the
@@ -245,36 +222,6 @@ func populateWarehouse(w *congress.Warehouse, wf *warehouseFlags, log *slog.Logg
 	return nil
 }
 
-// buildShardedWarehouse materializes the demo warehouse partitioned
-// across K shards, routed by the synopsis grouping key so every stratum
-// lives whole on one shard.
-func buildShardedWarehouse(wf *warehouseFlags, shards int, log *slog.Logger) (*congress.ShardedWarehouse, error) {
-	rel, err := loadRelation(wf, log)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := synopsisSpecFor(wf, rel)
-	if err != nil {
-		return nil, err
-	}
-	sw, err := congress.OpenSharded(shards)
-	if err != nil {
-		return nil, err
-	}
-	sw.ConfigureCache(*wf.cacheEntries, *wf.cacheBytes)
-	if _, err := sw.AttachRelation(rel, spec.GroupBy); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	if err := sw.BuildSynopsis(spec); err != nil {
-		return nil, err
-	}
-	log.Info("sharded synopsis ready", slog.String("strategy", spec.Strategy.String()),
-		slog.Int("shards", shards), slog.Int("space", spec.Space),
-		slog.Duration("took", time.Since(start)))
-	return sw, nil
-}
-
 func splitCSV(s string) []string {
 	var out []string
 	for _, p := range strings.Split(s, ",") {
@@ -296,7 +243,6 @@ func newLogger(level string) (*slog.Logger, error) {
 func runServe(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("congressd serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8642", "listen address")
-	shards := fs.Int("shards", 0, "partition across K in-process shard warehouses with scatter-gather estimation (0 = unsharded; incompatible with -data-dir)")
 	coordinator := fs.Bool("coordinator", false, "serve as a distributed coordinator over shard congressd processes (needs -shard-endpoints or -shard-config)")
 	shardEndpoints := fs.String("shard-endpoints", "", "comma-separated shard base URLs in ordinal order (with -coordinator)")
 	shardConfig := fs.String("shard-config", "", `membership JSON file {"shards":["http://...",...]} (with -coordinator; alternative to -shard-endpoints)`)
@@ -313,7 +259,7 @@ func runServe(args []string, out io.Writer) error {
 	shutdownGrace := fs.Duration("shutdown-grace", 10*time.Second, "drain window for in-flight requests on SIGINT/SIGTERM")
 	logLevel := fs.String("log-level", "info", "debug|info|warn|error")
 	dataDir := fs.String("data-dir", "", "durable data directory: snapshot + WAL crash recovery (empty = in-memory only)")
-	follow := fs.String("follow", "", "replicate from this leader base URL (read-only follower mode; requires -data-dir, incompatible with -shards)")
+	follow := fs.String("follow", "", "replicate from this leader base URL (read-only follower mode; requires -data-dir)")
 	fsyncFlag := fs.String("fsync", "always", "WAL durability under -data-dir: always|interval|none")
 	fsyncInterval := fs.Duration("fsync-interval", 50*time.Millisecond, "fsync period under -fsync=interval")
 	snapInterval := fs.Duration("snapshot-interval", 5*time.Minute, "background snapshot period (negative disables the timer)")
@@ -336,15 +282,12 @@ func runServe(args []string, out io.Writer) error {
 
 	var (
 		w        *congress.Warehouse
-		sw       *congress.ShardedWarehouse
 		co       *congress.Coordinator
 		leader   *repl.Leader
 		follower *repl.Follower
 	)
 	if *coordinator {
 		switch {
-		case *shards > 0:
-			return errors.New("serve: -coordinator fronts shard processes; it cannot also hold in-process -shards")
 		case *dataDir != "":
 			return errors.New("serve: the coordinator holds no data; -data-dir belongs on the shard processes")
 		case *follow != "":
@@ -392,21 +335,11 @@ func runServe(args []string, out io.Writer) error {
 		if *dataDir == "" {
 			return errors.New("serve: -follow needs -data-dir for the shipped snapshot and WAL")
 		}
-		if *shards > 0 {
-			return errors.New("serve: -follow cannot be combined with -shards")
-		}
 		if w, follower, err = startFollower(*follow, *dataDir, log); err != nil {
 			return err
 		}
 		w.ConfigureCache(*wf.cacheEntries, *wf.cacheBytes)
 		defer follower.Close()
-	} else if *shards > 0 {
-		if *dataDir != "" {
-			return errors.New("serve: -shards runs every shard inside this process and cannot be combined with -data-dir; for durable shards run one congressd per shard behind a -coordinator")
-		}
-		if sw, err = buildShardedWarehouse(wf, *shards, log); err != nil {
-			return err
-		}
 	} else if *dataDir != "" {
 		mode, err := congress.ParseFsyncMode(*fsyncFlag)
 		if err != nil {
@@ -451,7 +384,6 @@ func runServe(args []string, out io.Writer) error {
 	}
 	srv := server.New(server.Options{
 		Warehouse:      w,
-		Sharded:        sw,
 		Coordinator:    co,
 		ReplLeader:     leader,
 		Follower:       follower,
@@ -496,15 +428,8 @@ func runServe(args []string, out io.Writer) error {
 	// After the drain no more mutations arrive: flush the final snapshot
 	// and close the WAL so the next start replays nothing. The coordinator
 	// holds no warehouse of its own, so there is nothing to close there.
-	var closer interface{ Close() error }
-	switch {
-	case sw != nil:
-		closer = sw
-	case w != nil:
-		closer = w
-	}
-	if closer != nil {
-		if cerr := closer.Close(); cerr != nil {
+	if w != nil {
+		if cerr := w.Close(); cerr != nil {
 			log.Error("closing warehouse", slog.String("err", cerr.Error()))
 			if err == nil {
 				err = cerr

@@ -688,7 +688,7 @@ type PartialsOptions struct {
 
 // EstimatePartialsOpts runs the scan half of an estimate and returns the
 // per-group mergeable partials instead of finished estimates. A
-// coordinator (ShardedWarehouse, Coordinator) calls this on every shard,
+// Coordinator calls this on every shard (over /v1/estimate/partials),
 // merges with estimate.MergePartials, and takes the confidence interval
 // exactly once with estimate.Finalize — which is why sharded estimates
 // match single-warehouse ones over the same strata. Partials are
@@ -811,7 +811,7 @@ type SynopsisInfo struct {
 	// refresh.
 	PendingInserts int64
 	// Shards is the number of shards holding a partition of this synopsis
-	// (0 for an unsharded warehouse).
+	// (0 on a Warehouse; a Coordinator counts the shards that list it).
 	Shards int
 }
 
@@ -821,14 +821,18 @@ func (w *Warehouse) Synopses() []SynopsisInfo {
 	syns := w.aq.Synopses()
 	out := make([]SynopsisInfo, 0, len(syns))
 	for _, s := range syns {
-		st := s.Sample()
+		ranges := s.Strata().Ranges()
+		size := 0
+		if len(ranges) > 0 {
+			size = ranges[len(ranges)-1].Hi
+		}
 		out = append(out, SynopsisInfo{
 			Table:          s.Table(),
 			GroupBy:        s.GroupCols(),
 			Strategy:       s.Strategy().String(),
 			Space:          s.Space(),
-			SampleSize:     st.Size(),
-			Strata:         st.NumStrata(),
+			SampleSize:     size,
+			Strata:         len(ranges),
 			PendingInserts: s.Pending(),
 		})
 	}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/approxdb/congress/internal/tpcd"
 )
 
 // buildSalesWarehouse creates a warehouse with a skewed sales table:
@@ -426,6 +428,73 @@ func TestAllocationTable(t *testing.T) {
 	}
 	if totalPop != 10000 {
 		t.Errorf("population total %d", totalPop)
+	}
+}
+
+// TestSynopsesListing pins Warehouse.Synopses against values recorded
+// when the listing still read the stratified sample instead of the
+// Strata view: the size and stratum count of a House, Senate and
+// Congress synopsis after the build, with inserts pending, and after
+// the refresh that surfaces them (six new finest groups). A refreshed
+// Congress sample's size is not reproducible run to run, so there the
+// listing must equal the published sample relation.
+func TestSynopsesListing(t *testing.T) {
+	type listing struct{ size, strata int }
+	for _, tc := range []struct {
+		strategy                Strategy
+		built, pending, refresh listing
+	}{
+		{House, listing{1400, 27}, listing{1400, 27}, listing{1400, 33}},
+		{Senate, listing{1400, 27}, listing{1400, 27}, listing{1194, 33}},
+		{Congress, listing{1400, 27}, listing{1400, 27}, listing{-1, 33}},
+	} {
+		w := Open()
+		rel, err := tpcd.Generate(tpcd.Params{TableSize: 20_000, NumGroups: 27, GroupSkew: 0.86, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.AttachRelation(rel); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.BuildSynopsis(SynopsisSpec{
+			Table: "lineitem", GroupBy: tpcd.GroupingAttrs, Space: 1400, Strategy: tc.strategy, Seed: 5,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check := func(stage string, want listing, pending int64) {
+			t.Helper()
+			got := w.Synopses()
+			if len(got) != 1 {
+				t.Fatalf("%v %s: %d synopses", tc.strategy, stage, len(got))
+			}
+			if want.size < 0 {
+				res, err := w.Query("select count(*) from cs_lineitem")
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.size = int(res.Rows[0][0].I)
+			}
+			s := got[0]
+			if s.Table != "lineitem" || s.Strategy != tc.strategy.String() || s.Space != 1400 || s.Shards != 0 ||
+				s.SampleSize != want.size || s.Strata != want.strata || s.PendingInserts != pending {
+				t.Errorf("%v %s: %+v, want size %d, strata %d, pending %d", tc.strategy, stage, s, want.size, want.strata, pending)
+			}
+		}
+		check("built", tc.built, 0)
+		tbl, err := w.Table("lineitem")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 60; i++ {
+			if err := tbl.Insert(I(int64(9_000_000+i)), I(int64(i%3)), I(int64(i%2)), D("1999-01-01"), F(1), F(2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("pending", tc.pending, 60)
+		if err := w.RefreshSynopsis("lineitem"); err != nil {
+			t.Fatal(err)
+		}
+		check("refreshed", tc.refresh, 0)
 	}
 }
 

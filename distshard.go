@@ -5,24 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/shard"
 	"github.com/approxdb/congress/pkg/client"
 )
 
-// This file is the distributed half of sharding: a Coordinator is the
-// coordinator core (shardcore.go) over K congressd shard *processes*,
-// the way ShardedWarehouse is that core over K in-process warehouses.
-// Each shard process owns a durable partition of every table (its own
-// -data-dir, WAL and snapshots) plus the congressional synopsis over
-// that partition. What lives here is what only a remote deployment
-// needs: the HTTP leg (RemoteShard) with its timeouts, retries, error
-// mapping and wire conversion, health probing, and schema discovery.
+// This file is the coordinator's leg to one shard process: RemoteShard,
+// a pkg/client handle with the per-attempt timeout, the retry loop
+// (the only one between congressd processes), the mapping of shard
+// errors onto the package's typed sentinels, and the conversion between
+// the wire types and the package's own. The coordinator that fans out
+// over these legs is in coordinator.go.
 
 // ErrShardUnavailable marks a scatter-gather leg that failed terminally
 // at the transport or availability layer after the retries its call
@@ -32,35 +28,6 @@ import (
 // partial answer would silently drop every group homed on the missing
 // shard — so the whole query fails with this typed error.
 var ErrShardUnavailable = errors.New("congress: shard unavailable")
-
-// CoordinatorOptions tunes the coordinator's per-leg failure handling.
-// The zero value of every field has a sensible default.
-type CoordinatorOptions struct {
-	// LegTimeout bounds each fan-out attempt against one shard (also
-	// forwarded as the shard-side timeout_ms). Default 10s.
-	LegTimeout time.Duration
-	// Retries is how many extra attempts a leg gets before it fails with
-	// ErrShardUnavailable: a partials leg on any transient failure
-	// (transport errors, a damaged frame, 429/503/5xx), an insert,
-	// refresh or listing only when the shard shed it with 429. Default
-	// 2; negative means none.
-	Retries int
-	// HTTPClient substitutes the transport for every shard client
-	// (tests, custom TLS).
-	HTTPClient *http.Client
-}
-
-func (o *CoordinatorOptions) withDefaults() {
-	if o.LegTimeout <= 0 {
-		o.LegTimeout = 10 * time.Second
-	}
-	switch {
-	case o.Retries == 0:
-		o.Retries = 2
-	case o.Retries < 0:
-		o.Retries = 0
-	}
-}
 
 // Backoff between the attempts of one leg: exponential from
 // minLegBackoff, raised to the shard's Retry-After hint, capped at
@@ -72,8 +39,6 @@ const (
 
 // RemoteShard is one shard process seen from the coordinator: a
 // pkg/client handle plus the retry policy for its scatter-gather legs.
-// It satisfies ShardBackend, so the coordinator core cannot tell a
-// remote shard from an in-process one.
 type RemoteShard struct {
 	ord        int
 	endpoint   string
@@ -296,168 +261,4 @@ func (rs *RemoteShard) AllocationTable(ctx context.Context, table string) ([]All
 		return rows, nil
 	}
 	return nil, fmt.Errorf("%w %q on shard %d", ErrNoSynopsis, table, rs.ord)
-}
-
-// Coordinator fronts a static membership of congressd shard processes:
-// inserts route by the finest grouping key, estimates scatter-gather
-// partials over HTTP and merge exactly as the in-process path does —
-// both are the same shardCore. It serves the same backend surface as
-// Warehouse/ShardedWarehouse, so congressd -coordinator mounts it behind
-// the ordinary /v1 API. Safe for concurrent use after Discover.
-type Coordinator struct {
-	*shardCore
-	mem    *shard.Membership
-	shards []*RemoteShard
-	opts   CoordinatorOptions
-}
-
-// NewCoordinator builds a coordinator over the shard endpoints (index
-// == shard ordinal; every coordinator must list the same endpoints in
-// the same order or keys route differently). Call WaitHealthy and then
-// Discover before serving.
-func NewCoordinator(endpoints []string, opts CoordinatorOptions) (*Coordinator, error) {
-	mem, err := shard.NewMembership(endpoints)
-	if err != nil {
-		return nil, fmt.Errorf("congress: %w", err)
-	}
-	opts.withDefaults()
-	c, err := newShardCore(len(mem.Endpoints), "congress_distshard")
-	if err != nil {
-		return nil, err
-	}
-	co := &Coordinator{shardCore: c, mem: mem, opts: opts}
-	var copts []client.Option
-	if opts.HTTPClient != nil {
-		copts = append(copts, client.WithHTTPClient(opts.HTTPClient))
-	}
-	for i, ep := range mem.Endpoints {
-		rs := &RemoteShard{
-			ord:        i,
-			endpoint:   ep,
-			c:          client.New(ep, copts...),
-			tel:        c.tel,
-			legTimeout: opts.LegTimeout,
-			retries:    opts.Retries,
-		}
-		co.shards = append(co.shards, rs)
-		c.legs[i] = rs
-	}
-	return co, nil
-}
-
-// Endpoints returns the shard base URLs in ordinal order.
-func (co *Coordinator) Endpoints() []string { return co.mem.Endpoints }
-
-// Shard returns the i-th remote shard (diagnostics, tests).
-func (co *Coordinator) Shard(i int) *RemoteShard { return co.shards[i] }
-
-// RenderShardMetrics writes the per-shard congress_distshard_* counters,
-// then what only HTTP legs have — partials replies and body bytes per
-// shard by wire encoding, so a shard still answering JSON in a cluster
-// that should be speaking the binary frame is visible as such and not
-// only as latency:
-//
-//	congress_distshard_leg_replies_total{shard,encoding}
-//	congress_distshard_leg_reply_bytes_total{shard,encoding}
-func (co *Coordinator) RenderShardMetrics(sb *strings.Builder) {
-	co.shardCore.RenderShardMetrics(sb)
-	for _, rs := range co.shards {
-		for e, enc := range wireEncodings {
-			fmt.Fprintf(sb, "%s_leg_replies_total{shard=\"%d\",encoding=%q} %d\n", co.telPrefix, rs.ord, enc, rs.wire[e].replies.Load())
-		}
-	}
-	for _, rs := range co.shards {
-		for e, enc := range wireEncodings {
-			fmt.Fprintf(sb, "%s_leg_reply_bytes_total{shard=\"%d\",encoding=%q} %d\n", co.telPrefix, rs.ord, enc, rs.wire[e].bytes.Load())
-		}
-	}
-}
-
-// WaitHealthy blocks until every shard process answers its health probe
-// or ctx expires; the timeout error names the shards still down.
-func (co *Coordinator) WaitHealthy(ctx context.Context, interval time.Duration) error {
-	byEndpoint := make(map[string]*RemoteShard, len(co.shards))
-	for _, rs := range co.shards {
-		byEndpoint[rs.endpoint] = rs
-	}
-	return co.mem.WaitHealthy(ctx, interval, func(ctx context.Context, endpoint string) error {
-		pctx, cancel := context.WithTimeout(ctx, co.opts.LegTimeout)
-		defer cancel()
-		return byEndpoint[endpoint].c.Health(pctx)
-	})
-}
-
-// Discover interrogates every shard's /v1/synopses for its tables and
-// schemas, verifies the shards agree (same grouping and columns for
-// every shared table — a disagreeing shard would merge partials from a
-// different stratification), and registers the routing state. Call once
-// after WaitHealthy; re-call to pick up tables created later.
-func (co *Coordinator) Discover(ctx context.Context) error {
-	infos, err := shard.Fanout(ctx, len(co.shards), func(ctx context.Context, i int) ([]client.SynopsisInfo, error) {
-		out, err := co.shards[i].describe(ctx, false)
-		if err != nil {
-			return nil, fmt.Errorf("discovery: %w", err)
-		}
-		return out, nil
-	})
-	if err != nil {
-		return err
-	}
-	type seenAt struct {
-		info  client.SynopsisInfo
-		shard int
-	}
-	first := make(map[string]seenAt)
-	for i, list := range infos {
-		for _, si := range list {
-			key := strings.ToLower(si.Table)
-			prev, ok := first[key]
-			if !ok {
-				first[key] = seenAt{si, i}
-				continue
-			}
-			if err := sameShardSchema(prev.info, si); err != nil {
-				return fmt.Errorf("congress: shards %d and %d disagree on table %q: %w",
-					prev.shard, i, si.Table, err)
-			}
-		}
-	}
-	tables := make(map[string]*ShardedTable, len(first))
-	for key, at := range first {
-		si := at.info
-		if len(si.Columns) == 0 {
-			return fmt.Errorf("congress: shard %d (%s) reports no schema for table %q — upgrade the shard congressd",
-				at.shard, co.shards[at.shard].endpoint, si.Table)
-		}
-		cols := make([]engine.Column, len(si.Columns))
-		for j, cs := range si.Columns {
-			kind, err := engine.ParseKind(cs.Kind)
-			if err != nil {
-				return fmt.Errorf("congress: table %q column %q: %w", si.Table, cs.Name, err)
-			}
-			cols[j] = engine.Column{Name: cs.Name, Kind: kind}
-		}
-		if tables[key], err = co.newTable(si.Table, cols, si.GroupBy); err != nil {
-			return err
-		}
-	}
-	co.setTables(tables)
-	return nil
-}
-
-// sameShardSchema verifies two shards' views of one table agree on the
-// synopsis grouping and column schema.
-func sameShardSchema(a, b client.SynopsisInfo) error {
-	if !slices.Equal(a.GroupBy, b.GroupBy) {
-		return fmt.Errorf("group-by %v vs %v", a.GroupBy, b.GroupBy)
-	}
-	if len(a.Columns) != len(b.Columns) {
-		return fmt.Errorf("%d vs %d columns", len(a.Columns), len(b.Columns))
-	}
-	for i := range a.Columns {
-		if a.Columns[i] != b.Columns[i] {
-			return fmt.Errorf("column %d: %v vs %v", i, a.Columns[i], b.Columns[i])
-		}
-	}
-	return nil
 }

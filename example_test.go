@@ -1,7 +1,6 @@
 package congress_test
 
 import (
-	"context"
 	"fmt"
 	"log"
 
@@ -90,51 +89,4 @@ func ExampleWarehouse_Estimate() {
 	// east count=9000
 	// north count=100
 	// west count=900
-}
-
-// ExampleShardedWarehouse shows the three estimate calls every backend
-// answers — Warehouse, ShardedWarehouse and Coordinator alike — on a
-// table partitioned across two in-process shards.
-func ExampleShardedWarehouse() {
-	sw, err := congress.OpenSharded(2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tbl, err := sw.CreateTable("sales", []string{"region"},
-		congress.Col("region", congress.String), congress.Col("amount", congress.Float))
-	if err != nil {
-		log.Fatal(err)
-	}
-	for region, n := range map[string]int{"east": 9000, "west": 900, "north": 100} {
-		for i := 0; i < n; i++ {
-			if err := tbl.Insert(congress.Str(region), congress.F(10)); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	if err := sw.BuildSynopsis(congress.SynopsisSpec{
-		Table: "sales", GroupBy: []string{"region"}, Space: 300, Seed: 1,
-	}); err != nil {
-		log.Fatal(err)
-	}
-	ctx := context.Background()
-	groupBy := []string{"region"}
-
-	// The convenience form: background context, default options.
-	ests, _ := sw.Estimate("sales", groupBy, congress.Count, "amount", 0.95)
-	// Context and options; merged answers always bypass the result cache.
-	sampled, status, _ := sw.EstimateQueryOpts(ctx, "sales", groupBy, congress.Count, "amount", 0.95,
-		congress.ApproxOptions{NoHybrid: true})
-	// The mergeable half: per-group partials, no confidence interval yet.
-	parts, _ := sw.EstimatePartialsOpts(ctx, "sales", groupBy, "amount", congress.PartialsOptions{})
-
-	for i, e := range ests {
-		fmt.Printf("%s count=%.0f sampled=%.0f\n", e.Key, e.Value, sampled[i].Value)
-	}
-	fmt.Println("cache:", status, "partials:", len(parts))
-	// Output:
-	// east count=9000 sampled=9000
-	// north count=100 sampled=100
-	// west count=900 sampled=900
-	// cache: bypass partials: 3
 }

@@ -2,14 +2,13 @@ package congress
 
 import (
 	"context"
+	"math"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"github.com/approxdb/congress/internal/engine"
-	"github.com/approxdb/congress/internal/estimate"
-	"github.com/approxdb/congress/internal/tpcd"
 )
 
 // hybridTruth computes the exact SUM/COUNT/AVG of amount under grouping
@@ -215,131 +214,6 @@ func TestHybridStaleEpochGuard(t *testing.T) {
 	}
 }
 
-// TestHybridShardedDifferential: a sharded warehouse at K ∈ {2, 4} must
-// reproduce the single warehouse's hybrid answers to 1e-9 — every shard
-// holds a fresh cube, so the merged estimate is exact on both sides —
-// and the pure-sample (NoHybrid) scatter-gather differential must keep
-// holding with hybrid code in the path. A mixed-coverage merge (only j
-// of K shards answering from their cubes) must keep the point estimate
-// near the exact answer while its half-width shrinks monotonically
-// with j.
-func TestHybridShardedDifferential(t *testing.T) {
-	rel, err := tpcd.Generate(tpcd.Params{TableSize: 12_000, NumGroups: 27, GroupSkew: 0.86, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := SynopsisSpec{
-		Table:   rel.Name,
-		GroupBy: tpcd.GroupingAttrs,
-		Space:   1200,
-		Seed:    7,
-	}
-	single := Open()
-	if _, err := single.AttachRelation(rel); err != nil {
-		t.Fatal(err)
-	}
-	if err := single.BuildSynopsis(spec); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	grouping := []string{"l_returnflag"}
-	for _, k := range []int{2, 4} {
-		sw, err := OpenSharded(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sw.AttachRelation(rel, tpcd.GroupingAttrs); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.BuildSynopsis(spec); err != nil {
-			t.Fatal(err)
-		}
-		for _, agg := range []Aggregate{Sum, Count, Avg} {
-			want, err := single.Estimate(rel.Name, grouping, agg, "l_quantity", 0.95)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sw.Estimate(rel.Name, grouping, agg, "l_quantity", 0.95)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("k=%d %v: %d groups, want %d", k, agg, len(got), len(want))
-			}
-			byKey := make(map[string]GroupEstimate, len(want))
-			for _, e := range want {
-				if e.Bound != 0 || e.SampleN != 0 {
-					t.Fatalf("single %v %q not hybrid-exact: %+v", agg, e.Key, e)
-				}
-				byKey[e.Key] = e
-			}
-			for _, e := range got {
-				w, ok := byKey[e.Key]
-				if !ok {
-					t.Fatalf("k=%d %v: group %q missing from single", k, agg, e.Key)
-				}
-				if relDiff(e.Value, w.Value) > 1e-9 || e.Bound != 0 || e.SampleN != 0 {
-					t.Errorf("k=%d %v %q: sharded hybrid %+v != single %+v", k, agg, e.Key, e, w)
-				}
-			}
-		}
-
-		// Mixed coverage: j covered shards, K−j sampled. The half-width
-		// must shrink monotonically as coverage grows, and the value must
-		// stay within the merged bound of the exact answer.
-		exact, err := single.Estimate(rel.Name, grouping, Sum, "l_quantity", 0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exactByKey := make(map[string]float64, len(exact))
-		for _, e := range exact {
-			exactByKey[e.Key] = e.Value
-		}
-		for _, agg := range []Aggregate{Sum, Count, Avg} {
-			prev := map[string]float64{}
-			for j := 0; j <= k; j++ {
-				lists := make([][]GroupPartial, k)
-				for i := 0; i < k; i++ {
-					lists[i], err = sw.Shard(i).EstimatePartialsOpts(ctx, rel.Name, grouping, "l_quantity",
-						PartialsOptions{NoHybrid: i >= j})
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				ests, err := estimate.Finalize(estimate.MergePartials(lists...), agg, 0.95)
-				if err != nil {
-					t.Fatal(err)
-				}
-				widest := 0.0
-				for _, e := range ests {
-					if j > 0 {
-						base, ok := prev[e.Key]
-						if !ok {
-							t.Fatalf("k=%d %v j=%d: group %q appeared mid-sweep", k, agg, j, e.Key)
-						}
-						if e.Bound > base*(1+1e-12) {
-							t.Errorf("k=%d %v j=%d %q: bound %v wider than at j-1 (%v)", k, agg, j, e.Key, e.Bound, base)
-						}
-					}
-					if j == k && e.Bound != 0 {
-						t.Errorf("k=%d %v full coverage %q: bound %v, want 0", k, agg, e.Key, e.Bound)
-					}
-					prev[e.Key] = e.Bound
-					widest = max(widest, e.Bound)
-				}
-				// COUNT over whole strata is exact from the sample alone;
-				// the other two must start wide or the sweep shows nothing.
-				if j == 0 && agg != Count && widest == 0 {
-					t.Errorf("k=%d %v: pure-sample baseline already has zero width", k, agg)
-				}
-			}
-		}
-		if err := sw.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestHybridPersistenceRoundTrip: a snapshot taken while the cube is
 // fresh must restore with hybrid answering intact; a snapshot taken
 // while the cube is stale (post-refresh, pre-insert) must restore with
@@ -446,4 +320,11 @@ func TestHybridPersistenceRoundTrip(t *testing.T) {
 			}
 		}
 	})
+}
+
+// relDiff returns |a-b| / max(|a|,|b|,1).
+func relDiff(a, b float64) float64 {
+	d := math.Abs(a - b)
+	m := math.Max(math.Max(math.Abs(a), math.Abs(b)), 1)
+	return d / m
 }

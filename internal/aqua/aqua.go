@@ -418,18 +418,10 @@ func (s *Synopsis) Tables(strat rewrite.Strategy) rewrite.Tables {
 	return t
 }
 
-// Sample exposes the stratified sample backing the synopsis. The
-// returned snapshot is immutable — a later Refresh publishes a new
-// snapshot rather than mutating this one — so callers may read it
-// without further synchronization.
-func (s *Synopsis) Sample() *sample.Stratified[engine.Row] {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sample
-}
-
 // Strata returns the read view of the current sample, the input of
-// estimate.PartialsCtx. Like the sample it is immutable once published.
+// estimate.PartialsCtx. It is immutable once published: a later Refresh
+// publishes a new view rather than mutating this one, so callers may
+// read it without further synchronization.
 func (s *Synopsis) Strata() *estimate.Strata {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -71,7 +71,7 @@ func TestSynopsisRelationsRegistered(t *testing.T) {
 	if !ok {
 		t.Fatal("synopsis lookup is not case-insensitive")
 	}
-	if s.Sample().Size() == 0 || s.Allocation() == nil || s.Grouping() == nil || s.Maintainer() == nil {
+	if s.Strata().Relation().NumRows() == 0 || s.Allocation() == nil || s.Grouping() == nil || s.Maintainer() == nil {
 		t.Error("synopsis accessors incomplete")
 	}
 	// Integrated sample relation has exactly the budgeted tuples.
@@ -282,8 +282,8 @@ func TestMaintainAndRefresh(t *testing.T) {
 	}
 	// The maintained sample's population covers the whole relation:
 	// the 20000 seeded rows plus the 5000 inserts.
-	if s.Sample().Population() != 25000 {
-		t.Errorf("maintained population %d, want 25000", s.Sample().Population())
+	if p := population(s); p != 25000 {
+		t.Errorf("maintained population %d, want 25000", p)
 	}
 }
 
@@ -306,9 +306,18 @@ func TestDeltaMaintenanceOption(t *testing.T) {
 	if err := a.Refresh("lineitem"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Sample().Population() != 5000 {
-		t.Errorf("population %d", s.Sample().Population())
+	if p := population(s); p != 5000 {
+		t.Errorf("population %d", p)
 	}
+}
+
+// population sums the base population of the synopsis's strata.
+func population(s *Synopsis) int64 {
+	var n int64
+	for _, r := range s.Strata().Ranges() {
+		n += r.Population
+	}
+	return n
 }
 
 func TestExactMatchesEngine(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"github.com/approxdb/congress/internal/datacube"
 	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/estimate"
-	"github.com/approxdb/congress/internal/sample"
 	"github.com/approxdb/congress/internal/tpcd"
 )
 
@@ -132,12 +131,12 @@ func TestTargetGroupings(t *testing.T) {
 	// sampled tuples (exact up to integer rounding and tiny-group caps).
 	flagIdx2 := rel.Schema.Index("l_returnflag")
 	perFlag := map[string]int{}
-	syn.Sample().Each(func(str *sample.Stratum[engine.Row]) {
-		if len(str.Items) == 0 {
-			return
+	v := syn.Strata()
+	for _, r := range v.Ranges() {
+		if r.Hi > r.Lo {
+			perFlag[v.Row(r.Lo)[flagIdx2].String()] += r.Hi - r.Lo
 		}
-		perFlag[str.Items[0][flagIdx2].String()] += len(str.Items)
-	})
+	}
 	if len(perFlag) != 3 {
 		t.Fatalf("flag strata %v", perFlag)
 	}

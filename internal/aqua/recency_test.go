@@ -5,11 +5,7 @@ import (
 
 	"github.com/approxdb/congress/internal/core"
 	"github.com/approxdb/congress/internal/engine"
-	"github.com/approxdb/congress/internal/sample"
 )
-
-// sampleStratum abbreviates the instantiated stratum type.
-type sampleStratum = sample.Stratum[engine.Row]
 
 // recencyFixture builds a table with four equal-sized month groups so
 // any sample-size difference between months is purely the ageing bias.
@@ -39,12 +35,12 @@ func recencyFixture(t testing.TB) (*Aqua, *engine.Catalog) {
 func monthSizes(t *testing.T, s *Synopsis) map[string]int {
 	t.Helper()
 	sizes := map[string]int{}
-	s.Sample().Each(func(str *sampleStratum) {
-		if len(str.Items) == 0 {
-			return
+	v := s.Strata()
+	for _, r := range v.Ranges() {
+		if r.Hi > r.Lo {
+			sizes[v.Row(r.Lo)[0].String()] += r.Hi - r.Lo
 		}
-		sizes[str.Items[0][0].String()] += len(str.Items)
-	})
+	}
 	return sizes
 }
 

@@ -15,12 +15,12 @@ func TestUpdateScaleFactorTouchCounts(t *testing.T) {
 	// Pick the largest stratum.
 	var key string
 	var stratumSize int
-	s.Sample().Each(func(str *sampleStratum) {
-		if len(str.Items) > stratumSize {
-			stratumSize = len(str.Items)
-			key = str.Key
+	for _, r := range s.Strata().Ranges() {
+		if r.Hi-r.Lo > stratumSize {
+			stratumSize = r.Hi - r.Lo
+			key = r.Key
 		}
-	})
+	}
 	if stratumSize == 0 {
 		t.Fatal("no non-empty stratum")
 	}
@@ -78,9 +78,9 @@ func TestUpdateScaleFactorErrors(t *testing.T) {
 
 func anyStratumKey(a *Aqua) string {
 	s, _ := a.Synopsis("lineitem")
-	for _, k := range s.Sample().Keys() {
-		if str, _ := s.Sample().Get(k); len(str.Items) > 0 {
-			return k
+	for _, r := range s.Strata().Ranges() {
+		if r.Hi > r.Lo {
+			return r.Key
 		}
 	}
 	return ""

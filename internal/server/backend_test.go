@@ -15,8 +15,8 @@ import (
 )
 
 // backendFixture is one Backend under the conformance script, with the
-// warehouses that actually hold its rows (itself, its in-process
-// shards, or the shard processes behind the coordinator).
+// warehouses that actually hold its rows (itself, or the shard
+// processes behind the coordinator).
 type backendFixture struct {
 	name    string
 	opts    Options // the one typed backend field set
@@ -39,47 +39,28 @@ func (f backendFixture) numRows(t *testing.T) int {
 
 // backendFixtures builds every kind of backend over identical lineitem
 // data with a fully enumerated synopsis (space ≥ rows, so no sampling
-// noise separates the builds): a single warehouse, in-process sharded
-// warehouses at K=2 and K=4, and a coordinator over 3 shard servers.
+// noise separates the builds): a single warehouse, and coordinators
+// over K=2 and K=4 shard servers.
 func backendFixtures(t *testing.T, rows int) []backendFixture {
 	t.Helper()
 	spec := congress.SynopsisSpec{Table: "lineitem", GroupBy: tpcd.GroupingAttrs, Space: 2 * rows, Seed: 7}
-	sharded := func(k int) *congress.ShardedWarehouse {
+	shards := func(k int) []*congress.Warehouse {
 		rel, err := tpcd.Generate(tpcd.Params{TableSize: rows, NumGroups: 27, GroupSkew: 0.86, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw, err := congress.OpenSharded(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sw.AttachRelation(rel, tpcd.GroupingAttrs); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.BuildSynopsis(spec); err != nil {
-			t.Fatal(err)
-		}
-		return sw
-	}
-	engines := func(sw *congress.ShardedWarehouse) []*congress.Warehouse {
-		out := make([]*congress.Warehouse, sw.NumShards())
-		for i := range out {
-			out[i] = sw.Shard(i)
-		}
-		return out
+		return shardWarehouses(t, rel, k, spec)
 	}
 
-	one := sharded(1).Shard(0) // the whole table in one warehouse
+	one := shards(1)[0] // the whole table in one warehouse
 	fixtures := []backendFixture{{name: "single", opts: Options{Warehouse: one}, b: one, engines: []*congress.Warehouse{one}}}
 	for _, k := range []int{2, 4} {
-		sw := sharded(k)
+		behind := shards(k)
+		co, _ := coordinatorOver(t, behind)
 		fixtures = append(fixtures, backendFixture{
-			name: fmt.Sprintf("sharded-%d", k), opts: Options{Sharded: sw}, b: sw, engines: engines(sw)})
+			name: fmt.Sprintf("coordinator-%d", k), opts: Options{Coordinator: co}, b: co, engines: behind})
 	}
-	behind := sharded(3)
-	co, _ := coordinatorOver(t, behind)
-	return append(fixtures, backendFixture{
-		name: "coordinator-3", opts: Options{Coordinator: co}, b: co, engines: engines(behind)})
+	return fixtures
 }
 
 // lineitemRow builds one typed lineitem row in the three grouping
@@ -111,8 +92,8 @@ func sameEstimates(t *testing.T, label string, got, want []estimate.GroupEstimat
 }
 
 // TestBackendConformance runs one script against every Backend through
-// the interface the server uses and asserts single ≡ sharded ≡
-// distributed: values, bounds and sample counts to 1e-9, merged
+// the interface the server uses and asserts single ≡ distributed at
+// every shard count: values, bounds and sample counts to 1e-9, merged
 // listings, and identical error classification.
 func TestBackendConformance(t *testing.T) {
 	const rows = 3000
@@ -358,7 +339,7 @@ func TestInsertValidatesWholeBatchFirst(t *testing.T) {
 func TestCoordinatorMetricsExposeEngineCounters(t *testing.T) {
 	cl := newDistCluster(t, 3, 1500)
 	ctx := context.Background()
-	if err := cl.sw.Shard(0).RefreshSynopsis("lineitem"); err != nil { // stale cube: shard 0 samples
+	if err := cl.shards[0].RefreshSynopsis("lineitem"); err != nil { // stale cube: shard 0 samples
 		t.Fatal(err)
 	}
 	if _, err := cl.c.Query(ctx, client.QueryRequest{Estimate: &client.EstimateRequest{

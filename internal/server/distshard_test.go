@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ type distCluster struct {
 	co        *congress.Coordinator
 	c         *client.Client // talks to the coordinator server
 	single    *congress.Warehouse
-	sw        *congress.ShardedWarehouse // the shard backing stores
+	shards    []*congress.Warehouse // the shard backing stores
 	shardSrvs []*httptest.Server
 }
 
@@ -57,35 +58,25 @@ func newDistClusterBehind(t *testing.T, shards, rows int, wrap func(shard int, h
 	if err := single.BuildSynopsis(spec); err != nil {
 		t.Fatal(err)
 	}
-	sw, err := congress.OpenSharded(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.AttachRelation(rel, tpcd.GroupingAttrs); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.BuildSynopsis(spec); err != nil {
-		t.Fatal(err)
-	}
-	cl := &distCluster{single: single, sw: sw}
-	cl.co, cl.shardSrvs = coordinatorBehind(t, sw, wrap)
+	cl := &distCluster{single: single, shards: shardWarehouses(t, rel, shards, spec)}
+	cl.co, cl.shardSrvs = coordinatorBehind(t, cl.shards, wrap)
 	_, cl.c = testServer(t, Options{Coordinator: cl.co})
 	return cl
 }
 
-// coordinatorOver serves every shard of sw from its own HTTP server and
-// returns a healthy, discovered Coordinator over those endpoints.
-func coordinatorOver(t *testing.T, sw *congress.ShardedWarehouse) (*congress.Coordinator, []*httptest.Server) {
+// coordinatorOver serves every shard warehouse from its own HTTP server
+// and returns a healthy, discovered Coordinator over those endpoints.
+func coordinatorOver(t *testing.T, shards []*congress.Warehouse) (*congress.Coordinator, []*httptest.Server) {
 	t.Helper()
-	return coordinatorBehind(t, sw, nil)
+	return coordinatorBehind(t, shards, nil)
 }
 
-func coordinatorBehind(t *testing.T, sw *congress.ShardedWarehouse, wrap func(shard int, h http.Handler) http.Handler) (*congress.Coordinator, []*httptest.Server) {
+func coordinatorBehind(t *testing.T, shards []*congress.Warehouse, wrap func(shard int, h http.Handler) http.Handler) (*congress.Coordinator, []*httptest.Server) {
 	t.Helper()
 	var srvs []*httptest.Server
-	urls := make([]string, sw.NumShards())
+	urls := make([]string, len(shards))
 	for i := range urls {
-		h := New(Options{Warehouse: sw.Shard(i), Logger: quietLogger()}).Handler()
+		h := New(Options{Warehouse: shards[i], Logger: quietLogger()}).Handler()
 		if wrap != nil {
 			h = wrap(i, h)
 		}
@@ -189,54 +180,47 @@ func TestDistShardInsertRouting(t *testing.T) {
 	cl := newDistCluster(t, 4, 2000)
 	ctx := context.Background()
 
-	before := make([]int, cl.sw.NumShards())
-	for i := 0; i < cl.sw.NumShards(); i++ {
-		tbl, err := cl.sw.Shard(i).Table("lineitem")
-		if err != nil {
-			t.Fatal(err)
+	numRows := func() []int {
+		out := make([]int, len(cl.shards))
+		for i, w := range cl.shards {
+			tbl, err := w.Table("lineitem")
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = tbl.NumRows()
 		}
-		before[i] = tbl.NumRows()
+		return out
 	}
-	ins, err := cl.c.Insert(ctx, client.InsertRequest{
-		Table: "lineitem",
-		Rows: [][]any{
-			{int64(9_000_001), 0, 0, "1994-06-15", 7.0, 1200.0},
-			{int64(9_000_002), 1, 1, "1994-07-15", 9.0, 1800.0},
-			{int64(9_000_003), 0, 0, "1994-06-15", 3.0, 400.0},
-		},
-		Refresh: true,
-	})
+	rows := []congress.Row{
+		{congress.I(9_000_001), congress.I(0), congress.I(0), congress.D("1994-06-15"), congress.F(7), congress.F(1200)},
+		{congress.I(9_000_002), congress.I(1), congress.I(1), congress.D("1994-07-15"), congress.F(9), congress.F(1800)},
+		{congress.I(9_000_003), congress.I(0), congress.I(0), congress.D("1994-06-15"), congress.F(3), congress.F(400)},
+	}
+	wire := make([][]any, len(rows))
+	for i, row := range rows {
+		for _, v := range row {
+			wire[i] = append(wire[i], v.JSONValue())
+		}
+	}
+	before := numRows()
+	ins, err := cl.c.Insert(ctx, client.InsertRequest{Table: "lineitem", Rows: wire, Refresh: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ins.Inserted != 3 || !ins.Refreshed {
 		t.Fatalf("insert response %+v", ins)
 	}
-	total := 0
-	for i := 0; i < cl.sw.NumShards(); i++ {
-		tbl, err := cl.sw.Shard(i).Table("lineitem")
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += tbl.NumRows() - before[i]
-	}
-	if total != 3 {
-		t.Errorf("shards gained %d rows, want 3", total)
-	}
-	// Identical routing keys must land on the same shard as in-process
-	// routing would choose.
+	// Every row must land on the shard the coordinator's routing names.
 	ct, err := cl.co.Table("lineitem")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := cl.sw.Table("lineitem")
-	if err != nil {
-		t.Fatal(err)
+	want := slices.Clone(before)
+	for _, row := range rows {
+		want[ct.RouteOf(row)]++
 	}
-	row := congress.Row{congress.I(9_000_001), congress.I(0), congress.I(0),
-		congress.D("1994-06-15"), congress.F(7), congress.F(1200)}
-	if ct.RouteOf(row) != st.RouteOf(row) {
-		t.Errorf("coordinator routes row to shard %d, in-process to %d", ct.RouteOf(row), st.RouteOf(row))
+	if got := numRows(); !slices.Equal(got, want) {
+		t.Errorf("shard row counts %v after the inserts, want %v (before %v)", got, want, before)
 	}
 
 	metrics, err := cl.c.Metrics(ctx)
@@ -310,6 +294,8 @@ func TestDistShardCoordinatorModeSurface(t *testing.T) {
 
 	if _, err := cl.c.Query(ctx, client.QueryRequest{SQL: "select count(*) from lineitem"}); err == nil {
 		t.Error("SQL query accepted in coordinator mode")
+	} else if ae, ok := err.(*client.APIError); !ok || ae.Code != "bad_query" {
+		t.Errorf("approx SQL error = %v, want bad_query", err)
 	}
 	if _, err := cl.c.Exact(ctx, client.ExactRequest{SQL: "select count(*) from lineitem"}); err == nil {
 		t.Error("/v1/exact accepted in coordinator mode")

@@ -28,21 +28,12 @@ func legShards(t *testing.T, wrap func(shard int, h http.Handler, n *atomic.Int3
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := congress.OpenSharded(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.AttachRelation(rel, tpcd.GroupingAttrs); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.BuildSynopsis(congress.SynopsisSpec{Table: rel.Name, GroupBy: tpcd.GroupingAttrs, Space: 200, Seed: 5}); err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]*atomic.Int32, sw.NumShards())
-	urls := make([]string, sw.NumShards())
+	shards := shardWarehouses(t, rel, 2, congress.SynopsisSpec{Table: rel.Name, GroupBy: tpcd.GroupingAttrs, Space: 200, Seed: 5})
+	counts := make([]*atomic.Int32, len(shards))
+	urls := make([]string, len(shards))
 	for i := range urls {
 		counts[i] = new(atomic.Int32)
-		hs := httptest.NewServer(wrap(i, New(Options{Warehouse: sw.Shard(i), Logger: quietLogger()}).Handler(), counts[i]))
+		hs := httptest.NewServer(wrap(i, New(Options{Warehouse: shards[i], Logger: quietLogger()}).Handler(), counts[i]))
 		t.Cleanup(hs.Close)
 		urls[i] = hs.URL
 	}

@@ -52,19 +52,14 @@ import (
 // sensible default.
 type Options struct {
 	// Warehouse is the warehouse to serve. Exactly one of Warehouse and
-	// Sharded must be set.
+	// Coordinator must be set.
 	Warehouse *congress.Warehouse
-	// Sharded serves a sharded warehouse instead: estimates scatter-
-	// gather across in-process shards. The SQL paths (/v1/exact and
-	// sql-form /v1/query) are not available in sharded mode, and
-	// /v1/snapshot reports not_persistent (the in-process shards hold no
-	// data directories of their own).
-	Sharded *congress.ShardedWarehouse
-	// Coordinator serves a distributed deployment: each shard is its own
-	// congressd process and estimates scatter-gather over HTTP via
-	// /v1/estimate/partials. Like sharded mode, the SQL paths are
-	// unavailable; snapshots belong to the individual shard processes.
-	// Exactly one of Warehouse, Sharded and Coordinator must be set.
+	// Coordinator serves a distributed deployment instead: each shard is
+	// its own congressd process and estimates scatter-gather over HTTP
+	// via /v1/estimate/partials. The SQL paths (/v1/exact and sql-form
+	// /v1/query) are unavailable, and /v1/snapshot reports
+	// not_persistent: snapshots belong to the individual shard
+	// processes.
 	Coordinator *congress.Coordinator
 	// Logger receives structured request and lifecycle logs; defaults to
 	// slog.Default().
@@ -149,8 +144,8 @@ type Server struct {
 }
 
 // New builds a Server over the warehouse. It panics unless exactly one
-// of opts.Warehouse, opts.Sharded and opts.Coordinator is set (a
-// programming error, not a runtime condition).
+// of opts.Warehouse and opts.Coordinator is set (a programming error,
+// not a runtime condition).
 func New(opts Options) *Server {
 	// Only non-nil pointers go into the slice: a nil *T stored in the
 	// interface would not compare equal to nil later.
@@ -158,14 +153,11 @@ func New(opts Options) *Server {
 	if opts.Warehouse != nil {
 		backends = append(backends, opts.Warehouse)
 	}
-	if opts.Sharded != nil {
-		backends = append(backends, opts.Sharded)
-	}
 	if opts.Coordinator != nil {
 		backends = append(backends, opts.Coordinator)
 	}
 	if len(backends) != 1 {
-		panic("server: exactly one of Options.Warehouse, Options.Sharded and Options.Coordinator is required")
+		panic("server: exactly one of Options.Warehouse and Options.Coordinator is required")
 	}
 	if opts.Follower != nil && opts.Warehouse == nil {
 		panic("server: Options.Follower requires Options.Warehouse")
@@ -382,11 +374,10 @@ func (s *Server) admitWithDeadline(w http.ResponseWriter, r *http.Request, timeo
 // ----- backend -----
 
 // Backend is everything the server asks of the warehouse it fronts.
-// *congress.Warehouse, *congress.ShardedWarehouse and
-// *congress.Coordinator all satisfy it, so the direct-estimation,
-// partials, insert, synopsis and metrics paths are written once. What
-// only some backends can do is an optional capability the handlers
-// check for: sqlBackend, durableBackend, shardMetrics.
+// *congress.Warehouse and *congress.Coordinator both satisfy it, so the
+// direct-estimation, partials, insert, synopsis and metrics paths are
+// written once. What only one backend can do is an optional capability
+// the handlers check for: sqlBackend, durableBackend, shardMetrics.
 type Backend interface {
 	TableColumns(table string) ([]engine.Column, error)
 	InsertRows(ctx context.Context, table string, rows []congress.Row) (int, error)
@@ -461,7 +452,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		sq, ok := s.b.(sqlBackend)
 		if !ok {
 			writeError(w, http.StatusBadRequest, "bad_query",
-				"a sharded backend answers estimate requests only; SQL queries need a single warehouse")
+				"a coordinator answers estimate requests only; SQL queries need a single warehouse")
 			return
 		}
 		opts := congress.ApproxOptions{NoCache: req.NoCache}
@@ -493,7 +484,7 @@ func (s *Server) handleExact(w http.ResponseWriter, r *http.Request) {
 	sq, ok := s.b.(sqlBackend)
 	if !ok {
 		writeError(w, http.StatusBadRequest, "bad_query",
-			"a sharded backend has no merged base tables; /v1/exact needs a single warehouse")
+			"a coordinator has no merged base tables; /v1/exact needs a single warehouse")
 		return
 	}
 	ctx, cancel, ok := s.admitWithDeadline(w, r, req.TimeoutMS)
@@ -645,7 +636,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	d, ok := s.b.(durableBackend)
 	if !ok {
 		writeError(w, http.StatusConflict, "not_persistent",
-			"a sharded backend holds no data directory of its own: in-process shards are memory-only, and behind a coordinator each shard congressd owns its -data-dir (snapshot those)")
+			"a coordinator holds no data directory of its own: each shard congressd owns its -data-dir (snapshot those)")
 		return
 	}
 	if _, enabled := d.PersistStats(); !enabled {

@@ -1,9 +1,9 @@
-// Package shard holds the scatter-gather machinery under sharded
-// warehouses: a deterministic hash router that places every finest
-// group's tuples on one shard, a parallel fan-out helper with context
-// propagation and deterministic result ordering, and per-shard
-// coordinator telemetry (insert counters and fan-out latency
-// histograms).
+// Package shard holds the scatter-gather machinery under the
+// coordinator: a deterministic hash router that places every finest
+// group's tuples on one shard (and Partition, the same placement for a
+// whole relation), a parallel fan-out helper with context propagation
+// and deterministic result ordering, and per-shard coordinator
+// telemetry (insert counters and fan-out latency histograms).
 //
 // Hash routing by the finest grouping key gives each stratum a single
 // home shard, so per-shard congressional synopses partition the stratum
@@ -26,6 +26,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/approxdb/congress/internal/core"
+	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/metrics"
 )
 
@@ -55,6 +57,34 @@ func (r *Router) Route(key string) int {
 	h := fnv.New64a()
 	io.WriteString(h, key)
 	return int(mix64(h.Sum64()) % uint64(r.shards))
+}
+
+// Partition splits rel into one relation per shard, each with rel's
+// name and schema: part i holds, in their original order, the rows
+// whose routeBy key routes to shard i — the shard a coordinator over
+// the same shard count sends each row to on insert.
+func Partition(rel *engine.Relation, routeBy []string, shards int) ([]*engine.Relation, error) {
+	r, err := NewRouter(shards)
+	if err != nil {
+		return nil, err
+	}
+	g, err := core.NewGrouping(rel.Schema, routeBy)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]engine.Row, shards)
+	for _, row := range rel.Rows() {
+		i := r.Route(g.Key(row))
+		rows[i] = append(rows[i], row)
+	}
+	parts := make([]*engine.Relation, shards)
+	for i := range parts {
+		parts[i] = engine.NewRelation(rel.Name, rel.Schema)
+		if err := parts[i].InsertAll(rows[i]); err != nil {
+			return nil, err
+		}
+	}
+	return parts, nil
 }
 
 // mix64 is the Murmur3 fmix64 avalanche: every input bit affects every
@@ -122,15 +152,14 @@ func Fanout[T any](ctx context.Context, n int, fn func(ctx context.Context, shar
 }
 
 // Telemetry tracks the coordinator's per-shard counters, rendered on
-// /metrics under a configurable prefix (congress_shard for in-process
-// sharding, congress_distshard for the multi-process coordinator):
+// /metrics as:
 //
-//	<prefix>_count                       configured shard count
-//	<prefix>_inserts_total{shard}        rows routed to each shard
-//	<prefix>_fanout_errors_total{shard}  failed fan-out legs per shard
-//	<prefix>_fanout_retries_total{shard} transient-failure retries per shard
-//	<prefix>_fanout_seconds{shard,...}   per-shard fan-out leg latency
-//	                                     histogram + quantiles
+//	congress_distshard_count                       configured shard count
+//	congress_distshard_inserts_total{shard}        rows routed to each shard
+//	congress_distshard_fanout_errors_total{shard}  failed fan-out legs per shard
+//	congress_distshard_fanout_retries_total{shard} transient-failure retries per shard
+//	congress_distshard_fanout_seconds{shard,...}   per-shard fan-out leg latency
+//	                                               histogram + quantiles
 type Telemetry struct {
 	inserts []atomic.Int64
 	errors  []atomic.Int64
@@ -196,20 +225,16 @@ func (t *Telemetry) Inserts(shard int) int64 {
 	return t.inserts[shard].Load()
 }
 
-// Render writes the congress_shard_* exposition block; deterministic
-// for a fixed state (shards ascend, histogram rendering is sorted).
+// Render writes the congress_distshard_* exposition block;
+// deterministic for a fixed state (shards ascend, histogram rendering is
+// sorted). Zero-count fan-out histograms render as explicit zero series
+// rather than being skipped, so per-shard latency series are present
+// from the first scrape and never appear/disappear between scrapes.
 func (t *Telemetry) Render(sb *strings.Builder) {
-	t.RenderAs(sb, "congress_shard")
-}
-
-// RenderAs writes the exposition block under the given metric prefix.
-// Zero-count fan-out histograms render as explicit zero series rather
-// than being skipped, so per-shard latency series are present from the
-// first scrape and never appear/disappear between scrapes.
-func (t *Telemetry) RenderAs(sb *strings.Builder, prefix string) {
 	if t == nil {
 		return
 	}
+	const prefix = "congress_distshard"
 	fmt.Fprintf(sb, "%s_count %d\n", prefix, len(t.fanout))
 	for i := range t.inserts {
 		fmt.Fprintf(sb, "%s_inserts_total{shard=%q} %d\n", prefix, strconv.Itoa(i), t.inserts[i].Load())

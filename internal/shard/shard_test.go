@@ -128,11 +128,11 @@ func TestTelemetryRender(t *testing.T) {
 	tel.Render(&sb)
 	out := sb.String()
 	for _, want := range []string{
-		"congress_shard_count 2\n",
-		`congress_shard_inserts_total{shard="0"} 7`,
-		`congress_shard_inserts_total{shard="1"} 3`,
-		`congress_shard_fanout_errors_total{shard="0"} 1`,
-		`congress_shard_fanout_seconds_count{shard="1"} 1`,
+		"congress_distshard_count 2\n",
+		`congress_distshard_inserts_total{shard="0"} 7`,
+		`congress_distshard_inserts_total{shard="1"} 3`,
+		`congress_distshard_fanout_errors_total{shard="0"} 1`,
+		`congress_distshard_fanout_seconds_count{shard="1"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -140,10 +140,10 @@ func TestTelemetryRender(t *testing.T) {
 	}
 	// Unobserved histograms render as explicit zero series — scrape
 	// targets must see every per-shard series from the first scrape.
-	if !strings.Contains(out, `congress_shard_fanout_seconds_count{shard="0"} 0`) {
+	if !strings.Contains(out, `congress_distshard_fanout_seconds_count{shard="0"} 0`) {
 		t.Errorf("unobserved shard-0 histogram must render an explicit zero series:\n%s", out)
 	}
-	if !strings.Contains(out, `congress_shard_fanout_retries_total{shard="0"} 0`) {
+	if !strings.Contains(out, `congress_distshard_fanout_retries_total{shard="0"} 0`) {
 		t.Errorf("retry counters must render even at zero:\n%s", out)
 	}
 	// Out-of-range and nil receivers must be inert.
@@ -223,7 +223,7 @@ func TestTelemetryRenderConcurrent(t *testing.T) {
 			default:
 			}
 			var sb strings.Builder
-			tel.RenderAs(&sb, "congress_distshard")
+			tel.Render(&sb)
 			if !strings.Contains(sb.String(), "congress_distshard_count 4\n") {
 				t.Error("mid-flight render lost the shard count")
 				return
@@ -248,8 +248,8 @@ func TestTelemetryRenderConcurrent(t *testing.T) {
 	scraperWG.Wait()
 
 	var a, b strings.Builder
-	tel.RenderAs(&a, "congress_distshard")
-	tel.RenderAs(&b, "congress_distshard")
+	tel.Render(&a)
+	tel.Render(&b)
 	if a.String() != b.String() {
 		t.Error("renders of a quiesced state differ")
 	}

@@ -17,9 +17,10 @@ import (
 // groups", whereas the Normalized layouts confine the change to a
 // single row of the (much smaller) auxiliary relation.
 //
-// The group is identified by its stratum key (see Synopsis.Sample). The
-// returned count is the number of relation rows touched — the quantity
-// BenchmarkAblationUpdateCost compares across layouts.
+// The group is identified by its stratum key (the Key of one of
+// Synopsis.Strata's ranges). The returned count is the number of
+// relation rows touched — the quantity BenchmarkAblationUpdateCost
+// compares across layouts.
 func (a *Aqua) UpdateScaleFactor(table string, strat rewrite.Strategy, groupKey string, sf float64) (int, error) {
 	s, ok := a.Synopsis(table)
 	if !ok {

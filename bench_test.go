@@ -412,7 +412,7 @@ func BenchmarkAblationVarianceAware(b *testing.B) {
 func BenchmarkAblationAllocationStrategies(b *testing.B) {
 	rel := tpcd.MustGenerate(tpcd.Params{TableSize: 50_000, NumGroups: 1000, Seed: 6})
 	g := core.MustGrouping(rel.Schema, tpcd.GroupingAttrs)
-	cube, err := core.BuildCube(rel, g)
+	cube, err := core.BuildCube(rel, g, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -489,33 +489,36 @@ func BenchmarkMaintenanceDrift(b *testing.B) {
 	b.ReportMetric(maintained, "maintained-pct-err")
 }
 
-// BenchmarkParallelBuild compares serial one-pass construction against
-// the sharded parallel path at increasing worker counts. Run with
-// -congress.rows=1000000 to reproduce the ≥1M-row comparison; the
-// speedup tracks available cores (workers beyond GOMAXPROCS add only
-// merge overhead).
+// BenchmarkParallelBuild times one-pass construction (cube, Congress
+// allocation, bottom-k materialization) at 1, 2 and 4 workers. The
+// sample is the same at every worker count, so the arms differ only in
+// speed, which tracks available cores. Run with
+// -congress.rows=1000000 for the ≥1M-row comparison.
 func BenchmarkParallelBuild(b *testing.B) {
 	rel := tpcd.MustGenerate(tpcd.Params{TableSize: *benchRows, NumGroups: 1000, GroupSkew: 0.86, Seed: 4})
 	g := core.MustGrouping(rel.Schema, tpcd.GroupingAttrs)
-	space := *benchRows / 20
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rng := rand.New(rand.NewSource(5))
-			if _, _, err := core.Build(rel, g, core.Congress, space, rng); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, workers := range []int{2, 4, 8} {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.BuildParallel(rel, g, core.Congress, space, 5, workers); err != nil {
-					b.Fatal(err)
-				}
+				buildOnce(b, rel, g, core.Congress, *benchRows/20, workers)
 			}
 		})
+	}
+}
+
+// buildOnce runs the one-pass construction a synopsis build runs.
+func buildOnce(b *testing.B, rel *engine.Relation, g *core.Grouping, strat core.Strategy, space, workers int) {
+	cube, err := core.BuildCube(rel, g, workers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	alloc, err := core.Allocate(strat, cube, space)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := core.Materialize(rel, g, cube, alloc, 5, workers); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -571,12 +574,8 @@ func BenchmarkSynopsisConstruction(b *testing.B) {
 	g := core.MustGrouping(rel.Schema, tpcd.GroupingAttrs)
 	for _, strat := range core.Strategies {
 		b.Run(strat.String(), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(5))
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Build(rel, g, strat, *benchRows/20, rng); err != nil {
-					b.Fatal(err)
-				}
+				buildOnce(b, rel, g, strat, *benchRows/20, 1)
 			}
 		})
 	}

@@ -17,7 +17,6 @@
 //	-query SQL     query to run (default the paper's Q_g2)
 //	-explain       print the rewritten SQL instead of executing
 //	-seed N        RNG seed (default 1)
-//	-workers N     worker goroutines for synopsis construction (default GOMAXPROCS)
 //	-metrics       print the telemetry counters before exiting
 package main
 
@@ -32,7 +31,6 @@ import (
 
 	congress "github.com/approxdb/congress"
 	"github.com/approxdb/congress/internal/aqua"
-	"github.com/approxdb/congress/internal/core"
 	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/metrics"
 	"github.com/approxdb/congress/internal/rewrite"
@@ -64,7 +62,6 @@ func run(args []string, out io.Writer) error {
 	saveSample := fs.String("save-sample", "", "write the integrated sample relation to this CSV file")
 	repl := fs.Bool("repl", false, "read queries from stdin; prefix a query with 'exact ' to bypass the synopsis")
 	showAlloc := fs.Bool("show-allocation", false, "print the Figure 5-style space allocation table for the synopsis")
-	workers := fs.Int("workers", core.DefaultWorkers(), "worker goroutines for synopsis construction (1 = serial)")
 	showMetrics := fs.Bool("metrics", false, "print the telemetry counters before exiting")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -120,13 +117,12 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "building %s synopsis of %d tuples (%.1f%%) ...\n", strategy, space, *spacePct)
 	start = time.Now()
 	syn, err := a.CreateSynopsis(aqua.Config{
-		Table:        rel.Name,
-		GroupCols:    grouping,
-		Strategy:     strategy,
-		Space:        space,
-		Rewrite:      rw,
-		Seed:         *seed,
-		BuildWorkers: *workers,
+		Table:     rel.Name,
+		GroupCols: grouping,
+		Strategy:  strategy,
+		Space:     space,
+		Rewrite:   rw,
+		Seed:      *seed,
 	})
 	if err != nil {
 		return err

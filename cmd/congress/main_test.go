@@ -32,8 +32,7 @@ func TestRunEndToEnd(t *testing.T) {
 func TestRunWorkersAndMetrics(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{
-		"-rows", "5000", "-groups", "27", "-skew", "1.2",
-		"-workers", "4", "-metrics",
+		"-rows", "5000", "-groups", "27", "-skew", "1.2", "-metrics",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)

@@ -78,7 +78,6 @@ type warehouseFlags struct {
 	strategy     *string
 	rewrite      *string
 	seed         *int64
-	workers      *int
 	loadCSV      *string
 	table        *string
 	groupCols    *string
@@ -97,7 +96,6 @@ func addWarehouseFlags(fs *flag.FlagSet) *warehouseFlags {
 		strategy:     fs.String("strategy", "congress", "house|senate|basic|congress"),
 		rewrite:      fs.String("rewrite", "integrated", "integrated|nested|normalized|keynormalized"),
 		seed:         fs.Int64("seed", 1, "RNG seed"),
-		workers:      fs.Int("workers", congress.DefaultBuildWorkers(), "synopsis build workers"),
 		loadCSV:      fs.String("load", "", "load the base table from a typed CSV instead of generating"),
 		table:        fs.String("table", "lineitem", "base table name when loading from CSV"),
 		groupCols:    fs.String("group-cols", "", "comma-separated grouping columns (default: TPC-D grouping attributes)"),
@@ -189,13 +187,12 @@ func synopsisSpecFor(wf *warehouseFlags, rel *engine.Relation) (congress.Synopsi
 		grouping = splitCSV(*wf.groupCols)
 	}
 	return congress.SynopsisSpec{
-		Table:        rel.Name,
-		GroupBy:      grouping,
-		Space:        int(float64(rel.NumRows()) * *wf.spacePct / 100),
-		Strategy:     strategy,
-		Rewrite:      rw,
-		BuildWorkers: *wf.workers,
-		Seed:         *wf.seed,
+		Table:    rel.Name,
+		GroupBy:  grouping,
+		Space:    int(float64(rel.NumRows()) * *wf.spacePct / 100),
+		Strategy: strategy,
+		Rewrite:  rw,
+		Seed:     *wf.seed,
 	}, nil
 }
 

@@ -392,17 +392,18 @@ type SynopsisSpec struct {
 	// geometrically more sample space. Decay in (0,1] is the per-step
 	// multiplier into the past.
 	Recency *Recency
-	// BuildWorkers shards the one-pass construction scan across this
-	// many goroutines (<= 1 builds serially). The sample is
-	// deterministic for a fixed (Seed, BuildWorkers) pair; pass
-	// congress.DefaultBuildWorkers() to saturate the machine.
+	// Deprecated: BuildWorkers is ignored. A build always uses every
+	// core, and the sample it draws does not depend on how many there
+	// are.
 	BuildWorkers int
-	// Seed fixes sampling randomness for reproducibility (0 = 1).
+	// Seed fixes sampling randomness: the sample is a function of the
+	// table's rows, the spec and Seed (0 = 1).
 	Seed int64
 }
 
-// DefaultBuildWorkers returns the BuildWorkers value that saturates the
-// machine (GOMAXPROCS).
+// DefaultBuildWorkers returns GOMAXPROCS.
+//
+// Deprecated: it serves only the ignored SynopsisSpec.BuildWorkers.
 func DefaultBuildWorkers() int { return core.DefaultWorkers() }
 
 // BuildSynopsis precomputes a biased sample of the table and registers
@@ -426,7 +427,6 @@ func (w *Warehouse) BuildSynopsis(spec SynopsisSpec) error {
 		VarianceColumn:   spec.VarianceColumn,
 		TargetGroupings:  spec.TargetGroupings,
 		Recency:          spec.Recency,
-		BuildWorkers:     spec.BuildWorkers,
 		Seed:             spec.Seed,
 	}
 	return w.logged(&persist.Record{
@@ -480,7 +480,6 @@ func (w *Warehouse) BuildJoinSynopsis(join JoinSpec, spec SynopsisSpec) error {
 		VarianceColumn:   spec.VarianceColumn,
 		TargetGroupings:  spec.TargetGroupings,
 		Recency:          spec.Recency,
-		BuildWorkers:     spec.BuildWorkers,
 		Seed:             spec.Seed,
 	}
 	err := w.logged(&persist.Record{

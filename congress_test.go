@@ -2,6 +2,7 @@ package congress
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -232,21 +233,32 @@ func TestEstimateKeyNoSeparatorCollision(t *testing.T) {
 	}
 }
 
-// TestBuildSynopsisParallelWorkers: the facade accepts BuildWorkers and
-// a parallel build answers queries just like a serial one.
+// TestBuildSynopsisParallelWorkers: the facade still accepts the
+// deprecated BuildWorkers, ignores it (the answer equals a build without
+// it, bit for bit), and the build answers queries.
 func TestBuildSynopsisParallelWorkers(t *testing.T) {
+	const q = `select region, sum(amount) from sales group by region order by region`
+	var answers []*Result
+	for _, workers := range []int{4, 0} {
+		w, _ := buildSalesWarehouse(t)
+		if err := w.BuildSynopsis(SynopsisSpec{
+			Table: "sales", GroupBy: []string{"region", "product"}, Space: 1000,
+			Seed: 3, BuildWorkers: workers,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		approx, err := w.Approx(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers = append(answers, approx)
+	}
+	approx := answers[0]
+	if fmt.Sprint(approx.Rows) != fmt.Sprint(answers[1].Rows) {
+		t.Errorf("BuildWorkers 4 answers %v, 0 answers %v", approx.Rows, answers[1].Rows)
+	}
 	w, _ := buildSalesWarehouse(t)
-	if err := w.BuildSynopsis(SynopsisSpec{
-		Table: "sales", GroupBy: []string{"region", "product"}, Space: 1000,
-		Seed: 3, BuildWorkers: 4,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	exact, err := w.Query(`select region, sum(amount) from sales group by region order by region`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := w.Approx(`select region, sum(amount) from sales group by region order by region`)
+	exact, err := w.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,12 +64,10 @@ type Config struct {
 	// instead of the default Eq. 8 probability-decay maintainer. Only
 	// meaningful for the Congress strategy.
 	DeltaMaintenance bool
-	// BuildWorkers shards the one-pass construction scan (data-cube
-	// pre-scan and reservoir materialization) across this many
-	// goroutines. Values <= 1 build serially. The sample drawn is
-	// deterministic for a fixed (Seed, BuildWorkers) pair; different
-	// worker counts draw different, equally valid samples. Use
-	// core.DefaultWorkers() to saturate the machine.
+	// Deprecated: BuildWorkers is ignored. The build scan always runs on
+	// core.DefaultWorkers() goroutines, and the sample does not depend
+	// on how many there are. The field stays so that logged configs
+	// decode.
 	BuildWorkers int
 	// Seed fixes the sampling randomness (0 = seed 1).
 	Seed int64
@@ -200,9 +198,8 @@ func (a *Aqua) CreateSynopsis(cfg Config) (*Synopsis, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
-
-	cube, err := core.BuildCubeParallel(rel, g, cfg.BuildWorkers)
+	workers := core.DefaultWorkers()
+	cube, err := core.BuildCube(rel, g, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -244,12 +241,7 @@ func (a *Aqua) CreateSynopsis(cfg Config) (*Synopsis, error) {
 		vecs = append(vecs, rv)
 	}
 	alloc := core.CombineVectors(X, vecs...)
-	var st *sample.Stratified[engine.Row]
-	if cfg.BuildWorkers > 1 {
-		st, err = core.MaterializeParallel(rel, g, cube, alloc, seed, cfg.BuildWorkers)
-	} else {
-		st, err = core.Materialize(rel, g, cube, alloc, rng)
-	}
+	st, err := core.Materialize(rel, g, cube, alloc, seed, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -263,6 +255,7 @@ func (a *Aqua) CreateSynopsis(cfg Config) (*Synopsis, error) {
 	// Arm the matching maintainer and seed it with the current table
 	// contents, so later Refresh snapshots cover the whole relation —
 	// this pass is exactly the paper's one-pass construction.
+	rng := rand.New(rand.NewSource(seed))
 	switch cfg.Strategy {
 	case core.House:
 		s.maintainer, err = core.NewHouseMaintainer(g, cfg.Space, rng)

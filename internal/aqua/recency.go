@@ -59,7 +59,10 @@ func recencyVector(r *Recency, rel *engine.Relation, g *core.Grouping, cube *dat
 		distinct = append(distinct, dv{key: k, val: v})
 	}
 	sort.Slice(distinct, func(i, j int) bool {
-		return distinct[i].val.Compare(distinct[j].val) > 0 // newest first
+		if c := distinct[i].val.Compare(distinct[j].val); c != 0 {
+			return c > 0 // newest first
+		}
+		return distinct[i].key < distinct[j].key // a total order, so norm sums in one order
 	})
 	prefs := make(map[string]float64, len(distinct))
 	var norm float64

@@ -82,16 +82,10 @@ type Allocation struct {
 }
 
 // Allocate computes the allocation for one of the built-in strategies
-// over the group counts in cube with budget X (in tuples).
+// over the group counts in cube with budget X (in tuples). Callers that
+// add Section 8 vectors (Figure 19) combine StrategyVectors with theirs
+// through CombineVectors, as aqua.CreateSynopsis does.
 func Allocate(strategy Strategy, cube *datacube.Cube, x int) (*Allocation, error) {
-	return AllocateWithVectors(strategy, cube, x)
-}
-
-// AllocateWithVectors is Allocate extended with additional weight
-// vectors combined into the row-wise max — the Figure 19 framework of
-// Section 8. Passing a NeymanVector, for example, yields a
-// variance-aware congressional sample.
-func AllocateWithVectors(strategy Strategy, cube *datacube.Cube, x int, extra ...WeightVector) (*Allocation, error) {
 	if x <= 0 {
 		return nil, errBudget
 	}
@@ -103,7 +97,6 @@ func AllocateWithVectors(strategy Strategy, cube *datacube.Cube, x int, extra ..
 	if err != nil {
 		return nil, err
 	}
-	vecs = append(vecs, extra...)
 	return CombineVectors(X, vecs...), nil
 }
 
@@ -271,9 +264,11 @@ func CombineVectors(X float64, vecs ...WeightVector) *Allocation {
 			}
 		}
 	}
+	// Sum in key order: a map-order float sum moves by ulps from run to
+	// run, and with it ScaleDown and the integer rounding.
 	var sum float64
-	for _, t := range pre {
-		sum += t
+	for _, key := range sortedKeys(pre) {
+		sum += pre[key]
 	}
 	a := &Allocation{
 		X:        X,
@@ -295,10 +290,20 @@ func CombineVectors(X float64, vecs ...WeightVector) *Allocation {
 // equals X up to rounding error.
 func (a *Allocation) Total() float64 {
 	var s float64
-	for _, t := range a.Targets {
-		s += t
+	for _, key := range sortedKeys(a.Targets) {
+		s += a.Targets[key]
 	}
 	return s
+}
+
+// sortedKeys returns the keys of a target map in ascending order.
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // IntegerTargets converts fractional targets into integer sample sizes
@@ -308,11 +313,7 @@ func (a *Allocation) Total() float64 {
 // than it has), with the overflow redistributed to uncapped groups in
 // proportion to their targets.
 func (a *Allocation) IntegerTargets(populations map[string]int64) map[string]int {
-	keys := make([]string, 0, len(a.Targets))
-	for k := range a.Targets {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(a.Targets)
 
 	budget := int(math.Round(a.X))
 	out := make(map[string]int, len(keys))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"strconv"
 	"testing"
 
@@ -45,6 +44,24 @@ func buildRelation(t testing.TB, groups map[[2]string]int) (*engine.Relation, *G
 	return rel, MustGrouping(rel.Schema, []string{"a", "b"})
 }
 
+// buildSample is the one-pass construction a synopsis build runs: the
+// cube, the allocation, then the materializer.
+func buildSample(rel *engine.Relation, g *Grouping, strategy Strategy, x int, seed int64, workers int) (*sample.Stratified[engine.Row], *Allocation, error) {
+	cube, err := BuildCube(rel, g, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	alloc, err := Allocate(strategy, cube, x)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := Materialize(rel, g, cube, alloc, seed, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	return st, alloc, nil
+}
+
 func TestNewGroupingValidation(t *testing.T) {
 	schema := engine.MustSchema(engine.Column{Name: "x", Kind: engine.KindInt})
 	if _, err := NewGrouping(schema, nil); err == nil {
@@ -82,7 +99,7 @@ func TestBuildCubeCounts(t *testing.T) {
 	rel, g := buildRelation(t, map[[2]string]int{
 		{"a1", "b1"}: 30, {"a1", "b2"}: 20, {"a2", "b1"}: 50,
 	})
-	cube, err := BuildCube(rel, g)
+	cube, err := BuildCube(rel, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +119,7 @@ func TestBuildSenateEqualSizes(t *testing.T) {
 	rel, g := buildRelation(t, map[[2]string]int{
 		{"a1", "b1"}: 1000, {"a1", "b2"}: 500, {"a2", "b1"}: 100, {"a2", "b2"}: 60,
 	})
-	rng := rand.New(rand.NewSource(1))
-	st, alloc, err := Build(rel, g, Senate, 80, rng)
+	st, alloc, err := buildSample(rel, g, Senate, 80, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +140,7 @@ func TestBuildHouseProportional(t *testing.T) {
 	rel, g := buildRelation(t, map[[2]string]int{
 		{"a1", "b1"}: 900, {"a2", "b2"}: 100,
 	})
-	rng := rand.New(rand.NewSource(2))
-	st, _, err := Build(rel, g, House, 100, rng)
+	st, _, err := buildSample(rel, g, House, 100, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +160,12 @@ func TestBuildCongressSmallGroupGuarantee(t *testing.T) {
 	}
 	groups[[2]string{"a1", "btiny"}] = 50
 	rel, g := buildRelation(t, groups)
-	rng := rand.New(rand.NewSource(3))
 
-	houseSt, _, err := Build(rel, g, House, 800, rng)
+	houseSt, _, err := buildSample(rel, g, House, 800, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	congSt, _, err := Build(rel, g, Congress, 800, rng)
+	congSt, _, err := buildSample(rel, g, Congress, 800, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +181,7 @@ func TestBuildSampleTuplesComeFromOwnGroup(t *testing.T) {
 	rel, g := buildRelation(t, map[[2]string]int{
 		{"a1", "b1"}: 200, {"a2", "b2"}: 200,
 	})
-	rng := rand.New(rand.NewSource(4))
-	st, _, err := Build(rel, g, Congress, 50, rng)
+	st, _, err := buildSample(rel, g, Congress, 50, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +199,10 @@ func TestBuildSampleTuplesComeFromOwnGroup(t *testing.T) {
 // requirement of uniform sampling within each group).
 func TestMaterializeUniformWithinGroup(t *testing.T) {
 	rel, g := buildRelation(t, map[[2]string]int{{"a1", "b1"}: 40})
-	rng := rand.New(rand.NewSource(5))
 	counts := make(map[int64]int)
 	const trials = 4000
 	for i := 0; i < trials; i++ {
-		st, _, err := Build(rel, g, Senate, 10, rng)
+		st, _, err := buildSample(rel, g, Senate, 10, int64(i+1), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,8 +224,7 @@ func TestBuildErrors(t *testing.T) {
 		engine.Column{Name: "a", Kind: engine.KindString},
 	))
 	g := MustGrouping(rel.Schema, []string{"a"})
-	rng := rand.New(rand.NewSource(6))
-	if _, _, err := Build(rel, g, Congress, 10, rng); err == nil {
+	if _, _, err := buildSample(rel, g, Congress, 10, 6, 1); err == nil {
 		t.Error("building over empty relation succeeded")
 	}
 }

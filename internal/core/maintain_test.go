@@ -367,7 +367,7 @@ func TestMaintainerMatchesBatchBuild(t *testing.T) {
 		{"a1", "b1"}: 800, {"a1", "b2"}: 150, {"a2", "b1"}: 50,
 	})
 	rng := rand.New(rand.NewSource(10))
-	batch, _, err := Build(rel, g, Senate, 90, rng)
+	batch, _, err := buildSample(rel, g, Senate, 90, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

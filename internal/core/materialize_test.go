@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -24,16 +23,18 @@ func stratumFingerprint(t *testing.T, st interface {
 	return out
 }
 
+// TestBuildCubeParallelMatchesSequential: the cube is the same at every
+// worker count, since per-chunk counts add up.
 func TestBuildCubeParallelMatchesSequential(t *testing.T) {
 	rel, g := buildRelation(t, map[[2]string]int{
 		{"a1", "b1"}: 3000, {"a1", "b2"}: 700, {"a2", "b1"}: 90, {"a2", "b3"}: 11,
 	})
-	seq, err := BuildCube(rel, g)
+	seq, err := BuildCube(rel, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8, 64} {
-		par, err := BuildCubeParallel(rel, g, workers)
+		par, err := BuildCube(rel, g, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,12 +56,12 @@ func TestBuildCubeParallelMatchesSequential(t *testing.T) {
 
 func TestCubeMergeRejectsMismatchedAttrs(t *testing.T) {
 	rel, g := buildRelation(t, map[[2]string]int{{"a1", "b1"}: 5})
-	cube, err := BuildCube(rel, g)
+	cube, err := BuildCube(rel, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g1 := MustGrouping(rel.Schema, []string{"a"})
-	other, err := BuildCube(rel, g1)
+	other, err := BuildCube(rel, g1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +70,15 @@ func TestCubeMergeRejectsMismatchedAttrs(t *testing.T) {
 	}
 }
 
-// TestMaterializeParallelDeterministic is the reproducibility guarantee:
-// a fixed (seed, workers) pair must produce the identical sample.
-func TestMaterializeParallelDeterministic(t *testing.T) {
+// TestSampleIndependentOfWorkers is the point of the bottom-k
+// materializer: every split of the scan keeps the same rows, so the
+// sample for a seed is the same at every worker count, and two runs at
+// one count agree too.
+func TestSampleIndependentOfWorkers(t *testing.T) {
 	rel, g := buildRelation(t, map[[2]string]int{
 		{"a1", "b1"}: 5000, {"a1", "b2"}: 1200, {"a2", "b1"}: 300, {"a2", "b2"}: 40, {"a3", "b3"}: 7,
 	})
-	cube, err := BuildCube(rel, g)
+	cube, err := BuildCube(rel, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,46 +86,21 @@ func TestMaterializeParallelDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		first, err := MaterializeParallel(rel, g, cube, alloc, 42, workers)
+	for _, seed := range []int64{1, 42} {
+		st, err := Materialize(rel, g, cube, alloc, seed, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := MaterializeParallel(rel, g, cube, alloc, 42, workers)
-		if err != nil {
-			t.Fatal(err)
+		want := stratumFingerprint(t, st)
+		for _, workers := range []int{1, 2, 3, 4, 8} {
+			st, err := Materialize(rel, g, cube, alloc, seed, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := stratumFingerprint(t, st); got != want {
+				t.Errorf("seed %d: workers=%d draws another sample than workers=1:\n%s\nvs\n%s", seed, workers, got, want)
+			}
 		}
-		if a, b := stratumFingerprint(t, first), stratumFingerprint(t, second); a != b {
-			t.Errorf("workers=%d: two runs with the same seed diverge:\n%s\nvs\n%s", workers, a, b)
-		}
-	}
-}
-
-// TestMaterializeParallelSerialEquivalence: with workers <= 1 the
-// parallel entry point must reproduce the sequential Materialize bit for
-// bit (same reservoir walk from the same seeded RNG).
-func TestMaterializeParallelSerialEquivalence(t *testing.T) {
-	rel, g := buildRelation(t, map[[2]string]int{
-		{"a1", "b1"}: 900, {"a2", "b2"}: 90, {"a3", "b3"}: 9,
-	})
-	cube, err := BuildCube(rel, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc, err := Allocate(Congress, cube, 120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := Materialize(rel, g, cube, alloc, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := MaterializeParallel(rel, g, cube, alloc, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := stratumFingerprint(t, serial), stratumFingerprint(t, par); a != b {
-		t.Errorf("workers=1 diverges from sequential Materialize:\n%s\nvs\n%s", a, b)
 	}
 }
 
@@ -133,7 +111,7 @@ func TestMaterializeParallelSizesAndMembership(t *testing.T) {
 	rel, g := buildRelation(t, map[[2]string]int{
 		{"a1", "b1"}: 4000, {"a1", "b2"}: 800, {"a2", "b1"}: 150, {"a2", "b2"}: 12, {"a3", "b1"}: 3,
 	})
-	cube, err := BuildCube(rel, g)
+	cube, err := BuildCube(rel, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +123,8 @@ func TestMaterializeParallelSizesAndMembership(t *testing.T) {
 	cube.FinestGroups(func(key string, n int64) { populations[key] = n })
 	targets := alloc.IntegerTargets(populations)
 
-	for _, workers := range []int{2, 5, 8} {
-		st, err := MaterializeParallel(rel, g, cube, alloc, 9, workers)
+	for _, workers := range []int{1, 2, 5, 8} {
+		st, err := Materialize(rel, g, cube, alloc, 9, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,12 +151,15 @@ func TestMaterializeParallelSizesAndMembership(t *testing.T) {
 }
 
 // TestMaterializeParallelUniformWithinGroup repeats the S1 uniformity
-// check for the merged parallel sample: across many draws, every tuple
-// of a group must be included approximately equally often, i.e. the
-// weighted reservoir union does not bias toward any shard.
+// check for the bottom-k sample: across many seeds, every tuple of a
+// group must be included about equally often, at any worker count. The
+// one-group case runs 4000 seeds. On a skewed table each row's inclusion
+// count over 200 seeds is Binomial(200, n_h/N_h); at most a tenth of
+// the rows may land beyond 2σ (a share near 5% is expected) and none
+// beyond 6σ.
 func TestMaterializeParallelUniformWithinGroup(t *testing.T) {
 	rel, g := buildRelation(t, map[[2]string]int{{"a1", "b1"}: 40})
-	cube, err := BuildCube(rel, g)
+	cube, err := BuildCube(rel, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +170,7 @@ func TestMaterializeParallelUniformWithinGroup(t *testing.T) {
 	counts := make(map[int64]int)
 	const trials = 4000
 	for i := 0; i < trials; i++ {
-		st, err := MaterializeParallel(rel, g, cube, alloc, int64(i+1), 4)
+		st, err := Materialize(rel, g, cube, alloc, int64(i+1), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,13 +188,65 @@ func TestMaterializeParallelUniformWithinGroup(t *testing.T) {
 			t.Errorf("tuple %d included %d times, want ~%.0f", v, c, want)
 		}
 	}
+
+	rel, g = buildRelation(t, map[[2]string]int{
+		{"a1", "b1"}: 2000, {"a1", "b2"}: 300, {"a2", "b1"}: 40, {"a3", "b3"}: 6,
+	})
+	if cube, err = BuildCube(rel, g, 1); err != nil {
+		t.Fatal(err)
+	}
+	if alloc, err = Allocate(Congress, cube, 200); err != nil {
+		t.Fatal(err)
+	}
+	const seeds = 200
+	for _, workers := range []int{1, 4} {
+		included := make(map[int64]int)
+		sizes := make(map[string]int)
+		for seed := int64(1); seed <= seeds; seed++ {
+			st, err := Materialize(rel, g, cube, alloc, seed, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Each(func(s *sampleStratum) {
+				sizes[s.Key] = len(s.Items)
+				for _, row := range s.Items {
+					included[row[2].I]++
+				}
+			})
+		}
+		var rows, beyond2 int
+		for _, row := range rel.Rows() {
+			key := g.Key(row)
+			p := float64(sizes[key]) / float64(cube.Count(cube.FinestMask(), key))
+			c := included[row[2].I]
+			if p == 1 {
+				if c != seeds {
+					t.Errorf("workers=%d: row %d of a fully sampled group included %d of %d times", workers, row[2].I, c, seeds)
+				}
+				continue
+			}
+			sigma := math.Sqrt(seeds * p * (1 - p))
+			z := math.Abs(float64(c)-seeds*p) / sigma
+			rows++
+			if z > 2 {
+				beyond2++
+			}
+			if z > 6 {
+				t.Errorf("workers=%d: row %d included %d times, want %.1f ± %.1f", workers, row[2].I, c, seeds*p, sigma)
+			}
+		}
+		if share := float64(beyond2) / float64(rows); share > 0.1 {
+			t.Errorf("workers=%d: %d of %d rows beyond 2σ of n_h/N_h (%.1f%%)", workers, beyond2, rows, 100*share)
+		}
+		t.Logf("workers=%d: %d of %d rows beyond 2σ", workers, beyond2, rows)
+	}
 }
 
 func TestBuildParallel(t *testing.T) {
 	rel, g := buildRelation(t, map[[2]string]int{
 		{"a1", "b1"}: 1000, {"a2", "b2"}: 100, {"a3", "b3"}: 10,
 	})
-	st, alloc, err := BuildParallel(rel, g, Congress, 200, 3, 4)
+	st, alloc, err := buildSample(rel, g, Congress, 200, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,9 +74,10 @@ type Cube struct {
 	nonNull  [][]map[string]int64   // nonNull[measure][mask][compositeKey]
 
 	// sorted[mask] caches the keys of counts[mask] in sorted order for
-	// MeasureGroupsUnder. Groups are only ever added, so a cached slice
-	// is current while its length equals the mask's group count.
-	// Concurrent readers may each rebuild it; any stored slice is right.
+	// every visitor (GroupsUnder, FinestIDs, MeasureGroupsUnder). Groups
+	// are only ever added, so a cached slice is current while its length
+	// equals the mask's group count. Concurrent readers may each rebuild
+	// it; any stored slice is right.
 	sorted []atomic.Pointer[[]string]
 	// keyBuf holds the tuple being added's key under every mask.
 	keyBuf []string
@@ -174,10 +175,11 @@ func (c *Cube) ID(finestKey string) (GroupID, bool) {
 }
 
 // FinestIDs calls fn for each non-empty finest group with its GroupID
-// and count, in unspecified order.
+// and count, in ascending key order.
 func (c *Cube) FinestIDs(fn func(id GroupID, key string, count int64)) {
-	for k, n := range c.counts[c.FinestMask()] {
-		fn(c.ids[k], k, n)
+	counts := c.counts[c.FinestMask()]
+	for _, k := range c.sortedKeys(c.FinestMask()) {
+		fn(c.ids[k], k, counts[k])
 	}
 }
 
@@ -207,19 +209,18 @@ func (c *Cube) FinestMask() uint32 {
 	return uint32(len(c.counts) - 1)
 }
 
-// FinestGroups calls fn for each non-empty finest group with its count.
-// Iteration order is unspecified; callers needing determinism should
-// sort the keys.
+// FinestGroups calls fn for each non-empty finest group with its count,
+// in ascending key order.
 func (c *Cube) FinestGroups(fn func(key string, count int64)) {
-	for k, n := range c.counts[c.FinestMask()] {
-		fn(k, n)
-	}
+	c.GroupsUnder(c.FinestMask(), fn)
 }
 
-// GroupsUnder calls fn for each non-empty group under grouping mask.
+// GroupsUnder calls fn for each non-empty group under grouping mask,
+// in ascending key order.
 func (c *Cube) GroupsUnder(mask uint32, fn func(key string, count int64)) {
-	for k, n := range c.counts[mask] {
-		fn(k, n)
+	counts := c.counts[mask]
+	for _, k := range c.sortedKeys(mask) {
+		fn(k, counts[k])
 	}
 }
 
@@ -264,34 +265,4 @@ func (c *Cube) Merge(other *Cube) error {
 	}
 	c.total += other.total
 	return nil
-}
-
-// Clone returns a deep copy of the cube.
-func (c *Cube) Clone() *Cube {
-	out, err := NewWithMeasures(c.attrs, c.measures)
-	if err != nil {
-		panic(err)
-	}
-	out.total = c.total
-	for mask, m := range c.counts {
-		dst := out.counts[mask]
-		for k, v := range m {
-			dst[k] = v
-		}
-	}
-	for mi := range c.measures {
-		for mask := range c.sums[mi] {
-			dstS, dstN := out.sums[mi][mask], out.nonNull[mi][mask]
-			for k, v := range c.sums[mi][mask] {
-				dstS[k] = v
-			}
-			for k, v := range c.nonNull[mi][mask] {
-				dstN[k] = v
-			}
-		}
-	}
-	for k, id := range c.ids {
-		out.ids[k] = append(GroupID(nil), id...)
-	}
-	return out
 }

@@ -91,13 +91,13 @@ func TestAddMeasuredPrefixesAllMasks(t *testing.T) {
 	check(0, "", "p", 1000, 4)
 }
 
-// TestMeasureMergeCloneRestoreEquivalence drives a randomized tuple
+// TestMeasureMergeRestoreEquivalence drives a randomized tuple
 // stream three ways — one sequential cube, a K-way partition merged
 // with Merge, and a State→RestoreCube round-trip — and requires every
 // mask/group/measure cell to agree exactly. This is the property the
 // hybrid estimator's sharded exports rely on: per-shard cubes must
 // merge into precisely the single-scan cube.
-func TestMeasureMergeCloneRestoreEquivalence(t *testing.T) {
+func TestMeasureMergeRestoreEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	attrs := []string{"A", "B", "C"}
 	meas := []string{"q", "p"}
@@ -142,9 +142,7 @@ func TestMeasureMergeCloneRestoreEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone := seq.Clone()
-
-	for name, got := range map[string]*Cube{"merged": merged, "restored": restored, "clone": clone} {
+	for name, got := range map[string]*Cube{"merged": merged, "restored": restored} {
 		if got.Total() != seq.Total() {
 			t.Errorf("%s: total %d != %d", name, got.Total(), seq.Total())
 			continue
@@ -175,14 +173,6 @@ func TestMeasureMergeCloneRestoreEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-
-	// Clone must be deep: mutating it cannot leak into the original.
-	if err := clone.AddMeasured(id("a0", "b0", "c0"), []MeasureValue{measured(1e9), measured(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if got, _, _ := measureOf(seq, 0, "", "q"); got >= 1e9 {
-		t.Error("Clone shares measure maps with the original")
 	}
 
 	// Measure-set mismatches must refuse to merge.

@@ -31,7 +31,7 @@ func TestGenerateBasics(t *testing.T) {
 
 	// Every group must be non-empty and group count must equal 27.
 	g := core.MustGrouping(rel.Schema, GroupingAttrs)
-	cube, err := core.BuildCube(rel, g)
+	cube, err := core.BuildCube(rel, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestGenerateSkewControlsGroupSizes(t *testing.T) {
 	sizes := func(z float64) (min, max int64) {
 		rel := MustGenerate(Params{TableSize: 50000, NumGroups: 64, GroupSkew: z, Seed: 3})
 		g := core.MustGrouping(rel.Schema, GroupingAttrs)
-		cube, _ := core.BuildCube(rel, g)
+		cube, _ := core.BuildCube(rel, g, 1)
 		min, max = int64(1<<62), int64(0)
 		cube.FinestGroups(func(_ string, n int64) {
 			if n < min {
